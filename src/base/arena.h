@@ -59,10 +59,9 @@ struct ArenaRef {
 };
 
 /// Append-only chunked storage for Value sequences. Unsynchronized by
-/// design: an arena belongs to one relation, which belongs to one job
-/// (one-Universe-per-job, README.md "Concurrency model") — parallel
-/// executors give every job disjoint arenas instead of locking this hot
-/// path. Movable but not copyable (owners re-intern on copy).
+/// design: an arena belongs to one relation, which one thread uses at a
+/// time (README.md "Concurrency model") — parallel executors give every
+/// thread disjoint arenas instead of locking this hot path. Movable but not copyable (owners re-intern on copy).
 class ValueArena {
  public:
   ValueArena() = default;

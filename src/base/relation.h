@@ -43,16 +43,19 @@
 //   sources, appends targets) needs no care. Debug builds enforce the
 //   discipline through BucketIterationGuard below.
 //
-// \invariant Frozen-base interaction (base/value.h): relations have NO
-//   shared read-only state of their own — a Relation belongs to exactly
-//   one job even when its Values come from a frozen Universe, because
-//   "reads" here are not read-only: the first Probe of a mask builds an
-//   index, the first Contains after LoadRows materializes the dedup
-//   table. Fan-out and snapshot serving therefore share only the
-//   Universe (frozen) and the compiled plans (immutable); every shard /
-//   request gets its own member instances and relations, built over
-//   values read through its private overlay. Do not point two threads
-//   at one Relation, even "just to read".
+// \invariant Overlay interaction (base/value.h): relations have NO
+//   shared read-only state of their own. A Universe with live overlays
+//   may be read from any thread, but a Relation over its values is used
+//   by one thread at a time, because "reads" here are not read-only: the
+//   first Probe of a mask builds an index, the first Contains after
+//   LoadRows materializes the dedup table. The jobs of one batch file
+//   share the file's parsed relations by running in sequence on the
+//   file's worker; snapshot requests share a bundle's relations the same
+//   way, on the serving thread. Shard fan-out shares only the Universe
+//   and the compiled plans (immutable); every shard builds its own
+//   member instances and relations over values read through its private
+//   overlay. Do not point two threads at one Relation, even "just to
+//   read".
 
 #ifndef OCDX_BASE_RELATION_H_
 #define OCDX_BASE_RELATION_H_

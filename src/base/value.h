@@ -83,8 +83,8 @@ struct ValueHash {
 
 /// A relocatable handle to a stored witness tuple in a Universe's
 /// justification arena: dense logical offset + length (see
-/// Universe::InternWitness). Offsets are stable across Universe::Clone
-/// and serializable verbatim (src/snap) — no pointer fixup on reload.
+/// Universe::InternWitness). Offsets continue across overlays and are
+/// serializable verbatim (src/snap) — no pointer fixup on reload.
 /// The default-constructed ref is the empty witness.
 struct WitnessRef {
   uint64_t offset = 0;
@@ -127,106 +127,53 @@ struct NullInfo {
 /// Instances, mappings and solvers all operate on Values minted by one
 /// Universe. Creating a fresh Universe per test gives deterministic ids.
 ///
-/// \invariant Concurrency contract (amends the one-Universe-per-job
-///   rule). A Universe is in exactly one of three states:
+/// \invariant Concurrency contract — one rule: a Universe is read-only
+///   exactly while it has live overlays. NewOverlay() increments the
+///   base's live-overlay count; the overlay's destructor decrements it.
 ///
-///   - *Mutable* (the default): it belongs to exactly one job at a time —
-///     the batch executor (src/exec) gives each job its own Universe and
-///     never migrates one across threads. No internal synchronization;
-///     debug builds enforce the rule with a first-use thread ownership
-///     assert on every read and write.
-///   - *Frozen* (after Freeze(), permanent) or *shared* (inside a
-///     ScopedReadShare, temporary): the constant table, null registry and
-///     justification arena are immutable and may be READ from any number
-///     of threads concurrently with no locking — reads skip the owner
-///     assert, writes assert unconditionally. Freeze()/share entry must
-///     happen-before the reader threads start (thread creation/join
-///     provides the ordering; both fan-out and snapshot preload satisfy
-///     this by construction).
-///   - *Overlay* (from NewOverlay() on a frozen or shared base): a
-///     lightweight copy-on-write view. Reads fall through to the base;
-///     mints (constants, nulls, witnesses) land in the overlay's private
-///     delta under the ordinary one-owner rule. Ids continue the base's
-///     id spaces, so a value minted through an overlay is bit-identical
-///     to the value a full Clone() would have minted — which is what
-///     keeps canonical output byte-identical when fan-out and snapshot
-///     serving build overlays instead of clones. The base must stay
-///     frozen/shared (and alive) for the overlay's whole lifetime.
+///   - With no live overlays, a Universe belongs to exactly one thread.
+///     No internal synchronization; debug builds enforce the rule with a
+///     first-use thread-ownership assert on every read and write.
+///   - While overlays are live, the constant table, null registry and
+///     justification arena are immutable: any number of threads may READ
+///     them with no locking (reads skip the owner assert), and every
+///     write asserts. Overlays are minted on the owner thread before the
+///     readers start (thread creation provides the happens-before edge;
+///     the shard fan-out and the batch runner do this by construction).
+///   - An overlay is a lightweight copy-on-write view. Reads fall through
+///     to the base; mints (constants, nulls, witnesses) land in the
+///     overlay's private delta under the ordinary one-owner rule. Ids
+///     continue the base's id spaces, so a value minted through an
+///     overlay is bit-identical to the value a fresh Universe would mint
+///     after replaying the base's mints — which keeps canonical output
+///     byte-identical whether a command runs on its own parse or on an
+///     overlay of a shared one. Overlays nest, and the base must outlive
+///     every overlay over it.
 class Universe {
  public:
   Universe() = default;
+  ~Universe();
   Universe(const Universe&) = delete;
   Universe& operator=(const Universe&) = delete;
 
-  /// A deep scratch copy. Same constants under the same ids, same nulls,
-  /// and a compacted justification arena preserving every logical offset
-  /// (WitnessRef handles mean the same thing in both universes). The
-  /// clone is returned *unowned* — the first thread to touch it claims it
-  /// under the one-Universe-per-job rule. Values minted before the clone
-  /// point mean the same thing in both universes; values minted
-  /// afterwards are private to whichever universe minted them.
-  ///
-  /// The former hot-path users (shard fan-out, snapshot serving) now take
-  /// NewOverlay() instead; Clone() remains for callers that genuinely
-  /// need an independent mutable copy. When `copied_bytes` is given,
-  /// ApproxCloneBytes() is added to it — callers fold that into
-  /// EngineStats::clone_bytes_copied. Root universes only (asserts on
-  /// overlays).
-  std::unique_ptr<Universe> Clone(uint64_t* copied_bytes = nullptr) const;
+  /// True while this universe has live overlays: reads are then
+  /// thread-safe and writes assert (see the class \invariant).
+  bool read_only() const { return live_overlays_.load() > 0; }
 
-  /// Seals the universe read-only, permanently: after Freeze() any thread
-  /// may read concurrently, every mutation asserts, and NewOverlay()
-  /// hands out copy-on-write views. Freezing must happen-before reader
-  /// threads start (see the class \invariant).
-  void Freeze() { frozen_ = true; }
-
-  bool frozen() const { return frozen_; }
-
-  /// Temporarily puts the universe in the shared read-only state for a
-  /// lexical scope — the fan-out form of Freeze(): the caller's universe
-  /// must become mutable again once the scoped worker pool drains.
-  /// Entry/exit must happen-before/after the reader threads run (the
-  /// scoped ThreadPool's create/join provides exactly that). Shares nest.
-  class ScopedReadShare {
-   public:
-    explicit ScopedReadShare(const Universe& u) : u_(u) {
-      u_.shared_.fetch_add(1, std::memory_order_relaxed);
-    }
-    ~ScopedReadShare() { u_.shared_.fetch_sub(1, std::memory_order_relaxed); }
-    ScopedReadShare(const ScopedReadShare&) = delete;
-    ScopedReadShare& operator=(const ScopedReadShare&) = delete;
-
-   private:
-    const Universe& u_;
-  };
-
-  /// True while reads are thread-safe: frozen, or inside a
-  /// ScopedReadShare.
-  bool read_only() const {
-    return frozen_ || shared_.load(std::memory_order_relaxed) > 0;
-  }
-
-  /// A copy-on-write overlay over this (frozen or shared) universe: reads
-  /// fall through, mints land in the overlay's private delta, and ids
-  /// continue this universe's id spaces — exactly the ids Clone() + mint
-  /// would have produced, with none of the copying. Returned unowned,
-  /// like Clone(). The base must outlive the overlay and stay read-only
-  /// for the overlay's whole lifetime.
+  /// A copy-on-write overlay over this universe, which stays read-only
+  /// until the overlay is destroyed: reads fall through, mints land in
+  /// the overlay's private delta, and ids continue this universe's id
+  /// spaces. Call on the owner thread. The overlay is returned unowned —
+  /// the first thread to touch it claims it. This universe must outlive
+  /// the overlay.
   std::unique_ptr<Universe> NewOverlay() const;
 
   /// True iff this universe is an overlay (NewOverlay) over some base.
   bool is_overlay() const { return base_ != nullptr; }
 
-  /// Approximate heap bytes a Clone() of this universe copies: interned
-  /// constant characters, the null registry records and the justification
-  /// arena values. O(1); feeds the clone_bytes_copied / clone_bytes_avoided
-  /// EngineStats counters.
-  uint64_t ApproxCloneBytes() const;
-
   /// Interns a constant by name and returns its Value. On an overlay the
-  /// frozen base is probed first (read, any thread); only genuinely new
-  /// names land in the overlay's private delta, continuing the base's id
-  /// space — the same id a clone would have assigned.
+  /// base is probed first (read, any thread); only genuinely new names
+  /// land in the overlay's private delta, continuing the base's id space.
   Value Const(std::string_view name) {
     if (base_ != nullptr) {
       Value v = base_->FindConst(name);
@@ -306,8 +253,7 @@ class Universe {
   /// Printable form: the constant's name, or "_N<i>" / the null's label.
   std::string Describe(Value v) const;
 
-  /// Counts include the base's values when this is an overlay: an overlay
-  /// looks like the clone it replaces.
+  /// Counts include the base's values when this is an overlay.
   size_t num_consts() const { return base_consts_ + consts_.size(); }
   size_t num_nulls() const { return base_nulls_ + nulls_.size(); }
 
@@ -327,11 +273,11 @@ class Universe {
   bool LoadWitnessValues(std::span<const Value> values);
 
  private:
-  /// One-Universe-per-job tripwire: the first thread to touch the
-  /// universe owns it for good. A no-op in NDEBUG builds; the owner_
-  /// member is unconditional so the class layout never depends on the
-  /// consumer's NDEBUG setting (the library and its users may be
-  /// compiled with different flags).
+  /// One-owner tripwire: the first thread to touch the universe owns it
+  /// for good. A no-op in NDEBUG builds; the owner_ member is
+  /// unconditional so the class layout never depends on the consumer's
+  /// NDEBUG setting (the library and its users may be compiled with
+  /// different flags).
   void ClaimOwner() const {
 #ifndef NDEBUG
     std::thread::id expected{};
@@ -345,7 +291,7 @@ class Universe {
 #endif
   }
 
-  /// Read-side assert: frozen or shared universes are readable from any
+  /// Read-side assert: a universe with live overlays is readable from any
   /// thread; otherwise a concurrent reader would race the interner/arena
   /// growth of the owner, so the owner claim applies to reads too.
   void CheckRead() const {
@@ -355,26 +301,26 @@ class Universe {
 #endif
   }
 
-  /// Write-side assert: mutating a frozen or shared universe is a bug
-  /// (overlays exist precisely so nobody has to); otherwise the ordinary
-  /// one-owner rule applies.
+  /// Write-side assert: mutating a universe with live overlays is a bug
+  /// (mint through an overlay instead); otherwise the ordinary one-owner
+  /// rule applies.
   void CheckWrite() {
 #ifndef NDEBUG
     assert(!read_only() &&
-           "mutating a frozen/shared Universe: mint through NewOverlay() "
-           "instead (see the Universe concurrency contract)");
+           "mutating a Universe that has live overlays: mint through an "
+           "overlay instead (see the Universe concurrency contract)");
     ClaimOwner();
 #endif
   }
 
   mutable std::atomic<std::thread::id> owner_{};
-  bool frozen_ = false;
-  mutable std::atomic<uint32_t> shared_{0};
+  /// Overlays currently alive over this universe (see read_only()).
+  mutable std::atomic<uint32_t> live_overlays_{0};
 
   /// Overlay linkage (null for root universes). base_consts_/base_nulls_
-  /// cache the base's counts at overlay creation — the base is read-only,
-  /// so they never go stale — and every id/offset handed out by the
-  /// overlay is displaced past them.
+  /// cache the base's counts at overlay creation — the base is read-only
+  /// while this overlay lives, so they never go stale — and every
+  /// id/offset handed out by the overlay is displaced past them.
   const Universe* base_ = nullptr;
   uint32_t base_consts_ = 0;
   uint32_t base_nulls_ = 0;

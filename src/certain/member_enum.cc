@@ -312,13 +312,11 @@ Status RepAMemberEnumerator::RunSharded(size_t shards,
     ShardMemberFn fn = factory(shard);
     RunShard(shard, fn, &stop, &total_members, &outcomes[0]);
   } else {
-    // Fan-out over copy-on-write overlays of the caller's universe. The
-    // caller's universe is read-shared for the fan-out's duration; every
-    // shard (including shard 0, which runs on the calling thread) mints
-    // through its own private overlay, so nothing is deep-copied — the
-    // PR 7 design cloned the whole universe per worker shard. Overlay
-    // ids continue the base's id spaces, which is exactly what a clone
-    // would have assigned, so canonical output is unchanged bit for bit.
+    // Fan-out over copy-on-write overlays of the caller's universe, which
+    // is read-only while they live; every shard (including shard 0,
+    // which runs on the calling thread) mints through its own private
+    // overlay, so nothing is copied. Overlay ids continue the base's id
+    // spaces, so canonical output is unchanged bit for bit.
     // Compiled plans are shared through one thread-safe SharedPlanTable
     // (seeded from / exported back to the caller's per-job cache), so a
     // fan-out compiles each query exactly once instead of once per
@@ -353,7 +351,6 @@ Status RepAMemberEnumerator::RunSharded(size_t shards,
       table = local_table.get();
     }
 
-    Universe::ScopedReadShare share(*universe_);
     {
       obs::ScopedSpan setup_span(ctx_ != nullptr ? ctx_->stats : nullptr,
                                  ctx_ != nullptr ? ctx_->trace : nullptr,
@@ -362,10 +359,10 @@ Status RepAMemberEnumerator::RunSharded(size_t shards,
       for (size_t s = 0; s < shards; ++s) {
         overlays.push_back(universe_->NewOverlay());
         shard_ctxs[s] = base_ctx;
-        // The shared table replaces per-shard caches on this path (the
+        // The shared table replaces per-shard caches on this path: the
         // caller's unsynchronized cache must not be touched from worker
-        // threads; WithFreshCache here meant compiling every query once
-        // per shard).
+        // threads, and a fresh cache per shard would compile every query
+        // once per shard.
         shard_ctxs[s].plan_cache = nullptr;
         shard_ctxs[s].shared_plans = table;
         shard_ctxs[s].stats = &shard_stats[s];
@@ -412,10 +409,6 @@ Status RepAMemberEnumerator::RunSharded(size_t shards,
       ctx_->stats->enum_shard_tasks += shards;
       ++ctx_->stats->frozen_base_reuses;
       ctx_->stats->overlay_mints += shards;
-      // What the PR 7 design would have deep-copied: one clone per
-      // worker shard (shard 0 ran on the caller's universe directly).
-      ctx_->stats->clone_bytes_avoided +=
-          (shards - 1) * universe_->ApproxCloneBytes();
       if (stop.load(std::memory_order_relaxed)) {
         ++ctx_->stats->enum_shard_stops;
       }

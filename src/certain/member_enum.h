@@ -26,12 +26,11 @@
 //     and reports a non-exhausted outcome.
 //
 // Intra-job fan-out (EngineContext::shards > 1): the valuation space is
-// partitioned round-robin across a scoped worker pool. The caller's
-// Universe is read-shared (Universe::ScopedReadShare) for the fan-out's
-// duration and each shard mints through its own copy-on-write overlay
-// (Universe::NewOverlay — nothing is cloned; overlay ids continue the
-// base's id spaces, honoring the one-Universe-per-job contract per
-// overlay), compiled plans are shared through one thread-safe
+// partitioned round-robin across a scoped worker pool. Each shard mints
+// through its own copy-on-write overlay of the caller's Universe
+// (Universe::NewOverlay — nothing is copied; overlay ids continue the
+// base's id spaces, and the caller's Universe is read-only while the
+// overlays live), compiled plans are shared through one thread-safe
 // plan::SharedPlanTable (compile-once per fan-out), and the shard
 // contexts'
 // Budget::cancel points at a per-fan-out stop flag, so the first shard

@@ -2,6 +2,7 @@
 
 #include <cstdio>
 #include <fstream>
+#include <memory>
 #include <optional>
 #include <sstream>
 
@@ -14,72 +15,119 @@ namespace ocdx {
 
 namespace {
 
-/// Runs one planned slice: fresh Universe, fresh parse, one command.
-/// This is the *entire* per-job state — nothing here outlives the call
-/// or is visible to another job.
-BatchJobResult RunJob(const BatchJob& job) {
-  BatchJobResult result;
-  Stopwatch timer;
-  DxDriverOptions options = job.spec.options;
-  // Each job gets its *own* plan cache (PlanCache is unsynchronized,
-  // like everything else a job owns); the spec's context never carries
-  // one across jobs.
-  options.engine = options.engine.WithFreshCache();
-  options.engine.stats = &result.stats;
-  // Same rule for the trace sink: allocated here, owned by this job's
-  // result, never seen by another worker. A sink inherited from the
-  // spec's context would be shared across workers, so it is always
-  // dropped.
-  options.engine.trace = nullptr;
-  if (job.collect_trace) {
-    result.trace = std::make_unique<obs::TraceSink>();
-    options.engine.trace = result.trace.get();
-  }
+/// The outcome of one job, in plan order within its file.
+struct BatchJobResult {
+  Status status;
+  /// First budget/deadline/cancellation trip inside the job (OK when
+  /// none). A governed job still has status OK and full output — the trip
+  /// renders inline as positioned `error ...` lines (see RunDxCommand) —
+  /// so governance never breaks batch byte-identity or stops the batch.
+  Status governed;
+  /// prefix + canonical command text, or prefix + a deterministic
+  /// "ocdx: error:" line when the job failed.
+  std::string output;
+  /// This job's counters and timers; the file's first job also carries
+  /// the file's read, parse and plan.
+  EngineStats stats;
+  /// The job's span buffer (only with BatchOptions::collect_traces); the
+  /// first job's holds the file's `dx-parse` span.
+  std::unique_ptr<obs::TraceSink> trace;
+};
 
-  {
-    obs::ScopedSpan job_span(&result.stats, result.trace.get(),
-                             obs::kPhaseJob);
-    // Frozen-base reuse: when the planning pass attached a frozen
-    // scoping universe (null-free scenarios only — see exec/job.h), the
-    // job parses into a copy-on-write overlay of it, so the file's
-    // constant table is interned once per *file*, not once per job, and
-    // the overlay assigns exactly the ids a cold parse would. Otherwise
-    // the job owns a cold universe, as before.
-    std::unique_ptr<Universe> overlay;
-    Universe cold;
-    Universe* universe = &cold;
-    if (job.frozen_base != nullptr) {
-      overlay = job.frozen_base->NewOverlay();
-      universe = overlay.get();
-      ++result.stats.frozen_base_reuses;
-      ++result.stats.overlay_mints;
-    }
-    std::optional<Result<DxScenario>> scenario;
-    {
-      obs::ScopedSpan parse_span(&result.stats, result.trace.get(),
-                                 obs::kPhaseParse);
-      scenario.emplace(ParseDxScenario(*job.source, universe));
-    }
-    if (!scenario->ok()) {
-      result.status = scenario->status();
-    } else {
-      Result<std::string> text =
-          RunDxCommand(scenario->value(), job.spec.command, universe,
-                       options, &result.governed);
-      if (!text.ok()) {
-        result.status = text.status();
-      } else {
-        result.output = StrCat(job.spec.prefix, text.value());
-      }
-    }
+std::unique_ptr<obs::TraceSink> NewJobSink(const BatchOptions& options) {
+  return options.collect_traces ? std::make_unique<obs::TraceSink>()
+                                : nullptr;
+}
+
+/// Runs one planned job on a fresh overlay of the file's parsed base,
+/// under `result`'s stats and trace sink. The caller holds the job span.
+void RunJob(const DxScenario& scenario, const Universe& base,
+            const DxJobSpec& spec, BatchJobResult* result) {
+  DxDriverOptions options = spec.options;
+  options.engine.stats = &result->stats;
+  options.engine.trace = result->trace.get();
+  Result<std::string> text = RunDxCommandOnOverlay(
+      scenario, spec.command, base, options, &result->governed);
+  if (text.ok()) {
+    result->output = StrCat(spec.prefix, text.value());
+  } else {
+    result->status = text.status();
+    result->output = StrCat(spec.prefix, "ocdx: error: ",
+                            text.status().ToString(), "\n");
   }
   // Cancellation has no in-engine trip counter (the flag is observed at
   // many sites); count it per job, where it is well-defined.
-  if (result.governed.code() == StatusCode::kCancelled) {
-    ++result.stats.cancelled_jobs;
+  if (result->governed.code() == StatusCode::kCancelled) {
+    ++result->stats.cancelled_jobs;
   }
-  result.millis = timer.ElapsedMillis();
-  return result;
+}
+
+/// One file, start to finish, on the calling worker: one read, one parse
+/// into a base Universe, one plan, then every planned job in plan order.
+/// The read, parse and plan are charged to the first job — they run
+/// inside its job span, on its stats and trace sink — and the file's
+/// wall time to `report->millis`. Returns the jobs' results in plan
+/// order; a file that fails before planning has none.
+std::vector<BatchJobResult> RunFile(const std::string& path,
+                                    const BatchOptions& options,
+                                    BatchFileReport* report) {
+  Stopwatch timer;
+  report->file = path;
+  auto fail = [&](Status status) {
+    report->status = std::move(status);
+    report->millis = timer.ElapsedMillis();
+    return std::vector<BatchJobResult>{};
+  };
+
+  BatchJobResult first;
+  first.trace = NewJobSink(options);
+  Universe base;
+  std::optional<Result<DxScenario>> scenario;
+  std::vector<DxJobSpec> specs;
+  {
+    obs::ScopedSpan job_span(&first.stats, first.trace.get(), obs::kPhaseJob);
+    Result<std::string> source = ReadDxFile(path);
+    if (!source.ok()) return fail(source.status());
+    {
+      obs::ScopedSpan parse_span(&first.stats, first.trace.get(),
+                                 obs::kPhaseParse);
+      scenario.emplace(ParseDxScenario(source.value(), &base));
+    }
+    if (!scenario->ok()) return fail(scenario->status());
+
+    // One plan cache for the file: its jobs run in sequence on this
+    // thread, so later jobs reuse the plans earlier ones compiled.
+    DxDriverOptions file_options = options.driver;
+    file_options.engine = options.engine;
+    file_options.engine.stats = nullptr;
+    file_options.engine.trace = nullptr;
+    file_options.engine.plan_cache = nullptr;
+    file_options.engine.EnsureCache();
+    Result<std::vector<DxJobSpec>> plan =
+        PlanDxJobs(scenario->value(), options.command, file_options);
+    if (!plan.ok()) return fail(plan.status());
+    specs = std::move(plan).value();
+    // PlanDxJobs plans at least one job or fails.
+    RunJob(scenario->value(), base, specs[0], &first);
+  }
+
+  std::vector<BatchJobResult> jobs(specs.size());
+  jobs[0] = std::move(first);
+  for (size_t i = 1; i < specs.size(); ++i) {
+    jobs[i].trace = NewJobSink(options);
+    obs::ScopedSpan job_span(&jobs[i].stats, jobs[i].trace.get(),
+                             obs::kPhaseJob);
+    RunJob(scenario->value(), base, specs[i], &jobs[i]);
+  }
+
+  report->jobs = jobs.size();
+  for (const BatchJobResult& job : jobs) {
+    report->output += job.output;
+    if (report->status.ok()) report->status = job.status;
+    if (report->governed.ok()) report->governed = job.governed;
+  }
+  report->millis = timer.ElapsedMillis();
+  return jobs;
 }
 
 }  // namespace
@@ -128,122 +176,37 @@ Result<BatchReport> RunDxBatch(const std::vector<std::string>& files,
   BatchReport report;
   report.files.resize(files.size());
 
-  // Planning pass (sequential, on the calling thread): read each file and
-  // slice its command into independent jobs. The planning parse uses a
-  // throwaway Universe; jobs re-parse into their own.
-  std::vector<BatchJob> jobs;
-  std::vector<std::pair<size_t, size_t>> file_job_ranges(files.size(),
-                                                         {0, 0});
-  for (size_t f = 0; f < files.size(); ++f) {
-    report.files[f].file = files[f];
-    file_job_ranges[f].first = jobs.size();
-
-    Result<std::string> source = ReadDxFile(files[f]);
-    if (!source.ok()) {
-      report.files[f].status = source.status();
-      file_job_ranges[f].second = jobs.size();
-      continue;
-    }
-    auto shared_source =
-        std::make_shared<const std::string>(std::move(source).value());
-
-    std::vector<DxJobSpec> specs;
-    DxDriverOptions base = options.driver;
-    base.engine = options.engine;
-    base.engine.stats = nullptr;
-    base.engine.trace = nullptr;
-    std::shared_ptr<const Universe> frozen_base;
-    if (options.split_scenarios) {
-      auto scoping = std::make_shared<Universe>();
-      Result<DxScenario> scenario =
-          ParseDxScenario(*shared_source, scoping.get());
-      if (!scenario.ok()) {
-        report.files[f].status = scenario.status();
-        file_job_ranges[f].second = jobs.size();
-        continue;
-      }
-      Result<std::vector<DxJobSpec>> plan =
-          PlanDxJobs(scenario.value(), options.command, base);
-      if (!plan.ok()) {
-        report.files[f].status = plan.status();
-        file_job_ranges[f].second = jobs.size();
-        continue;
-      }
-      specs = std::move(plan).value();
-      // Null-free planning parse → the overlay re-parse assigns exactly
-      // the ids a cold parse would (see BatchJob::frozen_base), so the
-      // jobs can share this universe as a frozen base instead of each
-      // re-interning the file's constant table from scratch.
-      if (scoping->num_nulls() == 0) {
-        scoping->Freeze();
-        frozen_base = std::move(scoping);
-      }
-    } else {
-      DxJobSpec spec;
-      spec.command = options.command;
-      spec.options = base;
-      specs.push_back(std::move(spec));
-    }
-
-    for (DxJobSpec& spec : specs) {
-      BatchJob job;
-      job.index = jobs.size();
-      job.file_index = f;
-      job.file = files[f];
-      job.source = shared_source;
-      job.spec = std::move(spec);
-      job.frozen_base = frozen_base;
-      job.collect_trace = options.collect_traces;
-      jobs.push_back(std::move(job));
-    }
-    file_job_ranges[f].second = jobs.size();
-  }
-  report.total_jobs = jobs.size();
-
-  // Execution. Results land in submission-indexed slots, so assembly
-  // below is independent of completion order; workers share nothing but
-  // the (read-only) job list and their disjoint result slots.
-  std::vector<BatchJobResult> results(jobs.size());
+  // Execution: one task per file. Each task writes only its own report
+  // slot and job list, so assembly below is independent of completion
+  // order.
+  std::vector<std::vector<BatchJobResult>> jobs(files.size());
   if (options.workers <= 1) {
-    for (size_t i = 0; i < jobs.size(); ++i) results[i] = RunJob(jobs[i]);
+    for (size_t f = 0; f < files.size(); ++f) {
+      jobs[f] = RunFile(files[f], options, &report.files[f]);
+    }
   } else {
     ThreadPool pool(options.workers);
-    for (size_t i = 0; i < jobs.size(); ++i) {
-      const BatchJob* job = &jobs[i];
-      BatchJobResult* slot = &results[i];
-      pool.Submit([job, slot] { *slot = RunJob(*job); });
+    for (size_t f = 0; f < files.size(); ++f) {
+      pool.Submit([&files, &options, &report, &jobs, f] {
+        jobs[f] = RunFile(files[f], options, &report.files[f]);
+      });
     }
     // ~ThreadPool drains the queue and joins.
   }
 
-  // Deterministic assembly in plan order.
+  // Deterministic assembly in plan order. Trace handoff follows it: the
+  // i-th job of the batch always lands at traces[i], so the merged
+  // render's tid layout is identical for every -j.
   for (size_t f = 0; f < files.size(); ++f) {
-    BatchFileReport& fr = report.files[f];
-    for (size_t i = file_job_ranges[f].first; i < file_job_ranges[f].second;
-         ++i) {
-      ++fr.jobs;
-      fr.millis += results[i].millis;
-      report.stats += results[i].stats;
-      if (!results[i].governed.ok()) {
-        ++report.governed_jobs;
-        if (fr.governed.ok()) fr.governed = results[i].governed;
+    for (BatchJobResult& job : jobs[f]) {
+      report.stats += job.stats;
+      if (!job.governed.ok()) ++report.governed_jobs;
+      if (options.collect_traces) {
+        report.traces.push_back(BatchJobTrace{
+            StrCat("job-", report.total_jobs, " ", files[f]),
+            std::move(job.trace)});
       }
-      if (results[i].status.ok()) {
-        fr.output += results[i].output;
-      } else {
-        fr.output += StrCat(jobs[i].spec.prefix, "ocdx: error: ",
-                            results[i].status.ToString(), "\n");
-        if (fr.status.ok()) fr.status = results[i].status;
-      }
-    }
-  }
-  // Trace handoff in submission order: job i always lands at traces[i],
-  // so the merged render's tid layout is identical for every -j.
-  if (options.collect_traces) {
-    report.traces.reserve(results.size());
-    for (size_t i = 0; i < results.size(); ++i) {
-      report.traces.push_back(BatchJobTrace{
-          StrCat("job-", i, " ", jobs[i].file), std::move(results[i].trace)});
+      ++report.total_jobs;
     }
   }
   report.wall_millis = wall.ElapsedMillis();
@@ -268,10 +231,10 @@ std::string RenderBatchOutput(const BatchReport& report) {
 std::string RenderBatchSummary(const BatchReport& report,
                                const BatchOptions& options) {
   size_t failed = 0;
-  double job_millis = 0;
+  double file_millis = 0;
   for (const BatchFileReport& f : report.files) {
     if (!f.status.ok()) ++failed;
-    job_millis += f.millis;
+    file_millis += f.millis;
   }
   std::string out = StrCat(
       "batch: ", report.files.size(), " file(s), ", report.total_jobs,
@@ -279,10 +242,10 @@ std::string RenderBatchSummary(const BatchReport& report,
       "\n");
   char buf[256];
   std::snprintf(buf, sizeof(buf),
-                "batch: wall %.2f ms, cpu (sum of jobs) %.2f ms, "
+                "batch: wall %.2f ms, cpu (sum of files) %.2f ms, "
                 "speedup %.2fx\n",
-                report.wall_millis, job_millis,
-                report.wall_millis > 0 ? job_millis / report.wall_millis
+                report.wall_millis, file_millis,
+                report.wall_millis > 0 ? file_millis / report.wall_millis
                                        : 0.0);
   out += buf;
   out += StrCat("batch: engine stats: cq_plans=", report.stats.cq_plans,

@@ -1,21 +1,28 @@
 // Parallel batch execution of `.dx` scenario workloads.
 //
-// The runner fans a set of scenario files — and, within each scenario,
-// the independent command slices enumerated by PlanDxJobs
-// (text/dx_driver.h) — across a fixed-size thread pool (exec/pool.h),
-// then reassembles per-file canonical output in submission order.
+// The runner fans a set of scenario files across a fixed-size thread
+// pool (exec/pool.h); the unit of scheduling is the file. A worker reads
+// and parses the file once into a base Universe, slices its command into
+// the independent jobs enumerated by PlanDxJobs (text/dx_driver.h), and
+// runs the jobs in plan order, each on its own copy-on-write overlay of
+// the base (RunDxCommandOnOverlay). A file's jobs share the base's
+// relations — whose indexes build lazily on first probe — and one plan
+// cache, so they run in sequence on the file's worker. Per-file
+// canonical output is then reassembled in input order.
 //
 // Determinism contract (pinned by tests/batch_exec_test.cc and the CI
 // corpus diff): RenderBatchOutput is *byte-identical* for every worker
 // count, including workers = 1, under every engine mode. This falls out
 // of three rules rather than any synchronization:
 //
-//   1. every job parses its own copy of the scenario into its own
-//      Universe (one Universe per job — debug-asserted by Universe);
+//   1. a file's parse, and everything built over it, stays on the one
+//      worker that runs the file; each job runs on its own copy-on-write
+//      overlay of the parsed base, whose mints continue the base's ids
+//      exactly as a fresh parse's would (debug-asserted by Universe);
 //   2. job outputs are canonical text (sorted rendering, justification-
 //      keyed null names), insensitive to interning order;
-//   3. results land in submission-indexed slots; concatenation order is
-//      the plan order, never completion order.
+//   3. results land in input-indexed per-file slots; concatenation
+//      order is input order, then plan order — never completion order.
 //
 // Timing and throughput live only in RenderBatchSummary, which is
 // intentionally not byte-stable.
@@ -23,11 +30,12 @@
 #ifndef OCDX_EXEC_BATCH_RUNNER_H_
 #define OCDX_EXEC_BATCH_RUNNER_H_
 
+#include <memory>
 #include <string>
 #include <vector>
 
-#include "exec/job.h"
 #include "logic/engine_context.h"
+#include "obs/trace.h"
 #include "text/dx_driver.h"
 #include "util/status.h"
 
@@ -39,13 +47,11 @@ struct BatchOptions {
   /// Driver command to run on every file ("all", "chase", ...).
   std::string command = "all";
   /// Engine template for every job (mode and budgets are copied per job;
-  /// the stats pointer is ignored — each job gets its own sink).
+  /// the stats, trace and plan-cache pointers are ignored — each job gets
+  /// its own sinks, each file its own cache).
   EngineContext engine;
-  /// Fan out the slices within a scenario (per-mapping chase/certain
-  /// jobs). Off = one job per file.
-  bool split_scenarios = true;
   /// Give every job its own obs::TraceSink and return the sinks on the
-  /// report (BatchReport::traces, submission order) for a merged Chrome
+  /// report (BatchReport::traces, plan order) for a merged Chrome
   /// trace. Stdout stays byte-identical either way.
   bool collect_traces = false;
   /// Extra driver selection applied to every file (mapping/sigma/...).
@@ -63,12 +69,14 @@ struct BatchFileReport {
   std::string output;  ///< Concatenated job outputs; failed jobs render a
                        ///< deterministic "ocdx: error:" line in place.
   size_t jobs = 0;
-  double millis = 0;   ///< Sum of the file's job times (not wall time).
+  double millis = 0;   ///< Wall time of the file's task: read, parse,
+                       ///< plan and every job.
 };
 
 /// One job's trace, labeled for the merged Chrome render (the label
-/// becomes the thread name; the job's submission index fixes its tid
-/// block, so traces are stably laid out for every worker count).
+/// becomes the thread name; the job's index in plan order across the
+/// batch fixes its tid block, so traces are stably laid out for every
+/// worker count).
 struct BatchJobTrace {
   std::string label;  ///< "job-<index> <file>".
   std::unique_ptr<obs::TraceSink> sink;
@@ -80,7 +88,7 @@ struct BatchReport {
   size_t governed_jobs = 0;  ///< Jobs that tripped a budget/deadline/cancel.
   double wall_millis = 0;  ///< End-to-end batch wall time.
   EngineStats stats;       ///< Aggregated over all jobs.
-  /// Per-job sinks in submission order (only when
+  /// Per-job sinks in plan order across the batch (only when
   /// BatchOptions::collect_traces was set).
   std::vector<BatchJobTrace> traces;
 
@@ -114,8 +122,9 @@ std::string RenderBatchSummary(const BatchReport& report,
 /// and the `ocdxd` server, so "cannot read '<path>'" stays one message.
 Result<std::string> ReadDxFile(const std::string& path);
 
-/// Parses `path` and runs one driver command against it: the shared
-/// implementation of a single batch job and of one `ocdxd` request.
+/// Parses `source` and runs one driver command against it: one cold
+/// `ocdxd` request, timed like a batch job (job span around parse and
+/// command).
 /// `governed` (optional) receives the first budget/deadline/cancellation
 /// trip, exactly as in RunDxCommand.
 Result<std::string> RunDxFile(const std::string& path,

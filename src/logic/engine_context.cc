@@ -12,11 +12,4 @@ EngineContext& EngineContext::EnsureCache() {
   return *this;
 }
 
-EngineContext EngineContext::WithFreshCache() const {
-  EngineContext copy = *this;
-  copy.plan_cache = nullptr;
-  copy.EnsureCache();
-  return copy;
-}
-
 }  // namespace ocdx

@@ -17,10 +17,10 @@
 // Contexts are small values: copy them freely, one per job. Copies of a
 // context *share* its plan cache (that is the point: every evaluation a
 // job performs sees the same cache). The batch executor (src/exec) gives
-// every job its own context, its own cache and its own Universe, which is
-// the entire concurrency contract — nothing in the engine synchronizes,
-// it simply never shares mutable state across jobs (see README.md
-// "Concurrency model").
+// every file its own cache and every job its own context and overlay of
+// the file's parsed Universe, and runs a file's jobs on one thread —
+// nothing in the engine synchronizes, it simply never shares mutable
+// state across threads (see README.md "Concurrency model").
 
 #ifndef OCDX_LOGIC_ENGINE_CONTEXT_H_
 #define OCDX_LOGIC_ENGINE_CONTEXT_H_
@@ -80,19 +80,13 @@ struct EngineStats {
   /// Fan-outs ended early by the shared stop flag (first success, soft
   /// member cap, a governed trip, or caller cancellation).
   uint64_t enum_shard_stops = 0;
-  /// Fan-outs / requests / jobs served from an existing frozen (or
-  /// read-shared) base Universe instead of building their own copy.
+  /// Runs that reused an already parsed base Universe through overlays
+  /// instead of parsing their own: one per fan-out, snapshot run
+  /// (ocdxd --preload request) or batch job.
   uint64_t frozen_base_reuses = 0;
-  /// Copy-on-write overlays minted over frozen/shared bases
-  /// (Universe::NewOverlay) — one per shard, preload request, or
-  /// overlay-parsed batch job.
+  /// Copy-on-write overlays minted (Universe::NewOverlay) — one per
+  /// shard, snapshot run or batch job.
   uint64_t overlay_mints = 0;
-  /// Approximate bytes NOT deep-copied because an overlay replaced a
-  /// Universe::Clone (ApproxCloneBytes per avoided clone).
-  uint64_t clone_bytes_avoided = 0;
-  /// Approximate bytes deep-copied by the remaining legitimate
-  /// Universe::Clone sites (ApproxCloneBytes per clone).
-  uint64_t clone_bytes_copied = 0;
   /// Shared-plan-table probes served from a published compiled plan
   /// (plan::SharedPlanTable) — compile-once across shards/requests.
   uint64_t shared_plan_hits = 0;
@@ -121,7 +115,7 @@ struct EngineStats {
   /// it when adding a counter or timer — the static_assert below fails
   /// otherwise — and extend operator+= and the src/obs/report.cc field
   /// table in the same change (each is pinned by its own check).
-  static constexpr size_t kU64Fields = 33;
+  static constexpr size_t kU64Fields = 31;
 
   EngineStats& operator+=(const EngineStats& o) {
     cq_plans += o.cq_plans;
@@ -141,8 +135,6 @@ struct EngineStats {
     enum_shard_stops += o.enum_shard_stops;
     frozen_base_reuses += o.frozen_base_reuses;
     overlay_mints += o.overlay_mints;
-    clone_bytes_avoided += o.clone_bytes_avoided;
-    clone_bytes_copied += o.clone_bytes_copied;
     shared_plan_hits += o.shared_plan_hits;
     shared_plan_misses += o.shared_plan_misses;
     parse_ns += o.parse_ns;
@@ -189,18 +181,18 @@ struct EngineContext {
   /// across threads — shard fan-out (certain/member_enum.cc) gives each
   /// worker shard its own sink and absorbs them in shard order.
   obs::TraceSink* trace = nullptr;
-  /// Optional per-job compiled-plan cache (see src/plan/plan_cache.h).
-  /// Shared by every copy of this context; like `stats` and the job's
-  /// Universe it must be owned by exactly one job — fan-out code hands
-  /// each job a context with its own fresh cache (WithFreshCache).
+  /// Optional compiled-plan cache (see src/plan/plan_cache.h). Shared by
+  /// every copy of this context; unsynchronized, so it must be used by
+  /// one thread at a time — the batch runner gives each file its own,
+  /// and shard fan-out swaps it for `shared_plans`.
   std::shared_ptr<plan::PlanCache> plan_cache;
-  /// When true, EnsureCache / WithFreshCache attach nothing and every
-  /// call compiles privately (the pre-PR 5 behavior). Used by the parity
-  /// tests' cache-off leg; the OCDX_PLAN_CACHE=off environment variable
-  /// has the same effect process-wide.
+  /// When true, EnsureCache attaches nothing and every call compiles
+  /// privately. Used by the parity tests' cache-off leg; the
+  /// OCDX_PLAN_CACHE=off environment variable has the same effect
+  /// process-wide.
   bool plan_cache_opt_out = false;
   /// Optional *shared, thread-safe* compiled-plan table
-  /// (plan::SharedPlanTable): plans compiled once against a frozen base
+  /// (plan::SharedPlanTable): plans compiled once against a shared base
   /// and probed lock-free by every shard of a fan-out or every request of
   /// a preloaded server snapshot. Not owned; the table must outlive every
   /// context that points at it. Consulted by plan::GetOrCompile after the
@@ -210,7 +202,7 @@ struct EngineContext {
   /// Intra-job fan-out width for the exponential member-enumeration loops
   /// (certain/member_enum.h): >1 shards each ForEachMember run across a
   /// scoped worker pool, one copy-on-write Universe overlay per shard
-  /// over the read-shared caller universe (no cloning) plus a shared
+  /// over the caller's universe (read-only while they live) plus a shared
   /// compiled-plan table, with deterministic shard-ordered merge —
   /// canonical output is byte-identical for every value. 1 (the default,
   /// and any 0) keeps the sequential path. Shard workers run with
@@ -231,11 +223,6 @@ struct EngineContext {
   /// call this on their private context copy, so callers get compile-
   /// once behavior without opting in.
   EngineContext& EnsureCache();
-
-  /// A copy of this context with its *own* fresh plan cache (or none if
-  /// caching is disabled by the environment). Fan-out code (src/exec)
-  /// uses this so parallel jobs never share a cache.
-  EngineContext WithFreshCache() const;
 
   /// A context for `m` with a fresh plan cache attached (EnsureCache).
   static EngineContext CachedForMode(JoinEngineMode m) {

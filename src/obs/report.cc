@@ -26,8 +26,6 @@ constexpr StatsField kFields[] = {
     {"enum_shard_stops", &EngineStats::enum_shard_stops, false},
     {"frozen_base_reuses", &EngineStats::frozen_base_reuses, false},
     {"overlay_mints", &EngineStats::overlay_mints, false},
-    {"clone_bytes_avoided", &EngineStats::clone_bytes_avoided, false},
-    {"clone_bytes_copied", &EngineStats::clone_bytes_copied, false},
     {"shared_plan_hits", &EngineStats::shared_plan_hits, false},
     {"shared_plan_misses", &EngineStats::shared_plan_misses, false},
     {"parse_ns", &EngineStats::parse_ns, true},

@@ -110,7 +110,7 @@ CompiledQueryPtr GetOrCompile(const CompileRequest& req, const Instance& inst,
     if (ctx.stats != nullptr) ++ctx.stats->plan_cache_misses;
   }
 
-  // Second level: the shared, thread-safe table attached by frozen-base
+  // Second level: the shared, thread-safe table attached by overlay
   // consumers (shard fan-out, preloaded snapshot serving). It owns the
   // compile-once discipline across threads; a plan it returns is
   // absorbed into the private cache so the next lookup stays on the

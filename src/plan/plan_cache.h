@@ -16,14 +16,15 @@
 // that mint throwaway formulas per call should hoist them (see
 // StdRequirements in semantics/solutions.h) so identities stay stable.
 //
-// \invariant One cache per job. PlanCache is deliberately
+// \invariant One thread per cache. PlanCache is deliberately
 //   unsynchronized, like EngineStats and Universe: a context copy
-//   shares the cache within its job, and fan-out code must hand each
-//   parallel job its own cache (EngineContext::WithFreshCache). The
+//   shares the cache, and fan-out code must never hand one cache to
+//   units running in parallel (the batch runner gives each file its
+//   own; shard fan-out switches to the shared table). The
 //   cached CompiledQuery objects themselves are immutable and *are*
 //   safe to share across threads; the cache's index is not. When
-//   parallel units need to *share* compiled plans (frozen-base shard
-//   fan-out, preloaded snapshot serving), the synchronized sibling is
+//   parallel units need to *share* compiled plans (shard fan-out,
+//   preloaded snapshot serving), the synchronized sibling is
 //   plan::SharedPlanTable (shared_plan_table.h), consulted by
 //   GetOrCompile after the private cache misses.
 // \invariant The cache never dangles: entries hold the CompiledQuery by
@@ -31,8 +32,8 @@
 //   compiled_query.h), so a hit is always safe to execute.
 //
 // The OCDX_PLAN_CACHE environment variable ("off", "0" or "false")
-// disables caching process-wide: EngineContext::EnsureCache /
-// WithFreshCache then attach no cache and every call compiles privately
+// disables caching process-wide: EngineContext::EnsureCache then
+// attaches no cache and every call compiles privately
 // — the pre-PR 5 behavior, kept as a CI configuration and a debugging
 // escape hatch.
 
@@ -112,7 +113,7 @@ bool PlanKeyMatches(const CompiledQuery& q, const FormulaPtr& formula,
                     const std::set<std::string>& prebound);
 
 /// The one compilation funnel: consults the context's private cache
-/// first, then the context's SharedPlanTable (when present — frozen-base
+/// first, then the context's SharedPlanTable (when present — shard
 /// fan-out and snapshot serving attach one), and compiles on miss,
 /// maintaining the EngineStats counters (plan_compiles,
 /// plan_cache_hits/misses, shared_plan_hits/misses,

@@ -1,15 +1,15 @@
 // SharedPlanTable: the thread-safe, publish-once compiled-plan table for
-// frozen-base serving.
+// overlay serving.
 //
 // PlanCache (plan_cache.h) is per-job and unsynchronized. That was the
-// right shape while every parallel unit owned a private Universe clone,
-// but the frozen-base architecture shares ONE immutable base across all
-// the shards of a fan-out (certain/member_enum.cc) and all the requests
-// of a preloaded server snapshot (tools/ocdxd.cc). The queries those
+// right shape while every parallel unit owned a private Universe, but
+// overlays share ONE read-only base across all the shards of a fan-out
+// (certain/member_enum.cc) and all the requests of a preloaded server
+// snapshot (tools/ocdxd.cc). The queries those
 // units run are the same handful of formulas against the same schema
 // fingerprint — so the compiled plans are shareable too, and compiling
-// them once per shard/request (the PR 7 WithFreshCache behavior) was
-// pure waste that also distorted the cache-hit statistics.
+// them once per shard/request (one fresh cache per unit) was pure waste
+// that also distorted the cache-hit statistics.
 //
 // A SharedPlanTable is an append-only set of CompiledQueryPtr entries
 // with the same identity key as PlanCache (formula owner identity,

@@ -1,5 +1,7 @@
 #include "snap/format.h"
 
+#include <algorithm>
+
 #include "util/str.h"
 
 namespace ocdx {
@@ -123,11 +125,14 @@ Result<std::vector<SectionView>> ParseContainer(
   uint32_t section_count = read_u32();
   read_u32();  // reserved
 
+  constexpr size_t kSectionHeader = 2 * sizeof(uint32_t) +
+                                    2 * sizeof(uint64_t);
   std::vector<SectionView> sections;
-  sections.reserve(section_count);
+  // section_count is untrusted: reserve no more headers than the
+  // remaining bytes can hold (the loop below rejects the rest).
+  sections.reserve(std::min<size_t>(section_count,
+                                    (file.size() - pos) / kSectionHeader));
   for (uint32_t s = 0; s < section_count; ++s) {
-    constexpr size_t kSectionHeader = 2 * sizeof(uint32_t) +
-                                      2 * sizeof(uint64_t);
     if (file.size() - pos < kSectionHeader) {
       return Status::DataLoss(
           StrCat("snapshot: truncated section header at byte ", pos));

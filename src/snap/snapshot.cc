@@ -188,7 +188,11 @@ Status DecodeUniverse(Source* src, Universe* u) {
   std::vector<Value> witness(static_cast<size_t>(witness_size));
   OCDX_ASSIGN_OR_RETURN(std::span<const uint8_t> witness_bytes,
                         src->Bytes(witness_size * sizeof(uint64_t)));
-  std::memcpy(witness.data(), witness_bytes.data(), witness_bytes.size());
+  // memcpy's pointers must be non-null even for zero bytes, and an
+  // empty vector's data() may be null.
+  if (!witness.empty()) {
+    std::memcpy(witness.data(), witness_bytes.data(), witness_bytes.size());
+  }
 
   OCDX_ASSIGN_OR_RETURN(uint64_t num_nulls, src->U64());
   // Witness values may reference any stored null (fresh-null spans live
@@ -262,7 +266,9 @@ Status DecodeAnnotatedRelation(Source* src, const RelationDecl& decl,
                                decl.arity()));
   }
   OCDX_ASSIGN_OR_RETURN(uint64_t pool_size, src->U64());
-  if (arity > 0 && pool_size > src->remaining() / arity) {
+  // A zero-ary relation has one possible annotation vector (the empty
+  // one), and the encoder pools it at most once.
+  if (arity == 0 ? pool_size > 1 : pool_size > src->remaining() / arity) {
     return src->Corrupt(StrCat("annotation pool of ", pool_size,
                                " exceeds the section payload"));
   }
@@ -546,10 +552,6 @@ Result<SnapshotBundle> BuildSnapshotBundle(std::string source_path,
       b.prechased.Put(m.name, inst.name, std::move(chased).value());
     }
   }
-  // Seal: from here the bundle serves concurrent readers (ocdxd
-  // preload), and every run mints through a private overlay instead of
-  // cloning (RunSnapshotCommand).
-  b.universe->Freeze();
   return b;
 }
 
@@ -654,8 +656,6 @@ Result<SnapshotBundle> ParseSnapshot(std::span<const uint8_t> bytes) {
                                     b.universe->num_nulls(),
                                     b.universe->witness_size(),
                                     &b.prechased));
-  // Same seal as BuildSnapshotBundle: a loaded bundle is a frozen base.
-  b.universe->Freeze();
   return b;
 }
 
@@ -711,22 +711,13 @@ Result<std::string> RunSnapshotCommand(const SnapshotBundle& bundle,
                                        const std::string& command,
                                        const DxDriverOptions& options,
                                        Status* governed) {
-  // One copy-on-write overlay per run: the warm chase fallback and the
-  // member-enumeration loops mint scratch values into the universe they
-  // are given, and the bundle must stay reusable (and byte-stable)
-  // across requests. The frozen bundle universe is never copied — the
-  // overlay's mints start at exactly the ids a clone's would have, so
-  // output is unchanged.
-  std::unique_ptr<Universe> u = bundle.universe->NewOverlay();
+  // The warm chase fallback and the member-enumeration loops mint
+  // scratch values; the overlay keeps them out of the bundle, so the
+  // bundle stays reusable and byte-stable across requests.
   DxDriverOptions run = options;
   run.prechased = &bundle.prechased;
-  if (run.engine.stats != nullptr) {
-    ++run.engine.stats->frozen_base_reuses;
-    ++run.engine.stats->overlay_mints;
-    run.engine.stats->clone_bytes_avoided +=
-        bundle.universe->ApproxCloneBytes();
-  }
-  return RunDxCommand(bundle.scenario, command, u.get(), run, governed);
+  return RunDxCommandOnOverlay(bundle.scenario, command, *bundle.universe,
+                               run, governed);
 }
 
 }  // namespace snap

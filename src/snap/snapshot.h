@@ -43,11 +43,10 @@ namespace snap {
 /// scenario's Values stay valid because the Universe lives behind a
 /// stable pointer.
 ///
-/// The universe comes back *frozen* (Universe::Freeze) from both
-/// BuildSnapshotBundle and ParseSnapshot: a bundle is a read-only base
-/// that any number of threads may serve concurrently, with every run
-/// minting through its own copy-on-write overlay (RunSnapshotCommand) —
-/// the frozen-base architecture ocdxd --preload serving is built on.
+/// A bundle is a parsed base: every run mints through its own
+/// copy-on-write overlay of the universe (RunSnapshotCommand), which
+/// keeps the universe read-only for the run and unchanged after it —
+/// the architecture ocdxd --preload serving is built on.
 struct SnapshotBundle {
   std::string source_path;  ///< `.dx` path recorded at write time.
   std::string dx_text;      ///< Embedded scenario text.
@@ -90,9 +89,9 @@ Result<SnapshotBundle> LoadSnapshotFile(const std::string& path);
 /// universe totals, stored pairs with row/trigger counts. Deterministic.
 std::string DescribeSnapshot(const SnapshotBundle& bundle);
 
-/// Runs one driver command warm: mints a copy-on-write overlay over the
-/// bundle's frozen universe (the bundle stays read-only and reusable; no
-/// deep copy), points the driver at the prechased store and otherwise
+/// Runs one driver command warm: runs on a copy-on-write overlay of the
+/// bundle's universe (RunDxCommandOnOverlay; the bundle stays unchanged
+/// and reusable), points the driver at the prechased store and otherwise
 /// behaves exactly like RunDxCommand over a fresh parse — byte-identical
 /// output, both engines, any shard width. Attach
 /// options.engine.shared_plans (a plan::SharedPlanTable owned alongside

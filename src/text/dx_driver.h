@@ -31,10 +31,12 @@
 #define OCDX_TEXT_DX_DRIVER_H_
 
 #include <map>
+#include <memory>
 #include <string>
 #include <utility>
 #include <vector>
 
+#include "base/value.h"
 #include "chase/canonical.h"
 #include "logic/engine_context.h"
 #include "text/dx_scenario.h"
@@ -46,8 +48,8 @@ namespace ocdx {
 /// — the warm store a loaded snapshot (src/snap) hands the driver. The
 /// driver copies a stored solution before use (the copy re-interns rows
 /// into its own arenas, mirroring the ownership of a fresh chase), so one
-/// immutable store can serve many jobs whose universes are clones of the
-/// snapshot universe.
+/// immutable store can serve many jobs whose universes are overlays of
+/// the snapshot universe.
 class PrechasedStore {
  public:
   void Put(std::string mapping, std::string instance, CanonicalSolution csol) {
@@ -121,6 +123,23 @@ Result<std::string> RunDxCommand(const DxScenario& scenario,
                                  const DxDriverOptions& options = {},
                                  Status* governed = nullptr);
 
+/// RunDxCommand on a fresh copy-on-write overlay of `base`, the universe
+/// `scenario` was parsed into: the command's mints land in the overlay,
+/// so `base` is read-only during the run and unchanged after it, ready
+/// for the next one. The one run step of batch jobs (src/exec) and
+/// snapshot runs (src/snap); counts the reuse on options.engine.stats.
+inline Result<std::string> RunDxCommandOnOverlay(
+    const DxScenario& scenario, const std::string& command,
+    const Universe& base, const DxDriverOptions& options = {},
+    Status* governed = nullptr) {
+  std::unique_ptr<Universe> overlay = base.NewOverlay();
+  if (options.engine.stats != nullptr) {
+    ++options.engine.stats->frozen_base_reuses;
+    ++options.engine.stats->overlay_mints;
+  }
+  return RunDxCommand(scenario, command, overlay.get(), options, governed);
+}
+
 /// The commands (other than "all") that have at least one applicable
 /// input combination in this scenario, in canonical order.
 std::vector<std::string> ApplicableDxCommands(const DxScenario& scenario);
@@ -129,11 +148,11 @@ std::vector<std::string> ApplicableDxCommands(const DxScenario& scenario);
 /// the output of RunDxCommand(scenario, command, u, options).
 ///
 /// Invariant (relied on by the batch executor, src/exec): running the
-/// specs of PlanDxJobs *in order* — each against a freshly parsed copy of
-/// the same scenario text — and concatenating prefix + output yields text
-/// byte-identical to running `command` directly. Canonical rendering
-/// (sorted relations, justification-keyed null names) is what makes the
-/// slices insensitive to the surrounding universe state.
+/// specs of PlanDxJobs *in order* — each against its own overlay of one
+/// parse (RunDxCommandOnOverlay) — and concatenating prefix + output
+/// yields text byte-identical to running `command` directly. Canonical
+/// rendering (sorted relations, justification-keyed null names) is what
+/// makes the slices insensitive to the surrounding universe state.
 struct DxJobSpec {
   std::string command;
   DxDriverOptions options;

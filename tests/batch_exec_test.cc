@@ -4,17 +4,21 @@
 // The headline property is *determinism*: `ocdx batch -j 8` must be
 // byte-identical to `-j 1` over the whole corpus under every engine mode
 // — no synchronization makes that true, only the absence of shared
-// mutable state (one Universe, one EngineContext and one plan cache per
-// job, canonical rendering). CI additionally runs this file under
+// mutable state across workers (one parse and one plan cache per file,
+// one overlay and one EngineContext per job, canonical rendering). The
+// second property is *one parse per file*: a file's jobs all run on
+// overlays of a single parse. CI additionally runs this file under
 // ThreadSanitizer
 // (the `tsan` preset), which turns any violation of that contract into a
 // hard failure instead of a flaky diff.
 
+#include <algorithm>
 #include <atomic>
 #include <filesystem>
 #include <fstream>
 #include <sstream>
 #include <string>
+#include <string_view>
 #include <thread>
 #include <vector>
 
@@ -25,6 +29,7 @@
 #include "exec/pool.h"
 #include "logic/engine_config.h"
 #include "logic/engine_context.h"
+#include "obs/trace.h"
 #include "semantics/homomorphism.h"
 #include "text/dx_driver.h"
 #include "text/dx_parser.h"
@@ -113,7 +118,9 @@ TEST(BatchExec, ParallelOutputIsByteIdenticalToSequential) {
 }
 
 // The slice-concatenation invariant of PlanDxJobs: batch output per file
-// (any -j) equals running the command directly on that file.
+// (any -j) equals running the command directly on that file. Covers the
+// null-declaring files (nulls_and_ineq.dx, valuation_enum.dx), whose
+// jobs mint past the nulls of the shared parse.
 TEST(BatchExec, SlicedOutputMatchesDirectDriverRun) {
   for (const std::string& file : CorpusFiles()) {
     SCOPED_TRACE(file);
@@ -125,28 +132,85 @@ TEST(BatchExec, SlicedOutputMatchesDirectDriverRun) {
     Result<std::string> direct = RunDxCommand(scenario.value(), "all", &u);
     ASSERT_TRUE(direct.ok()) << direct.status().ToString();
 
-    BatchOptions options;
-    options.workers = 4;
-    Result<BatchReport> report = RunDxBatch({file}, options);
-    ASSERT_TRUE(report.ok()) << report.status().ToString();
-    ASSERT_EQ(report.value().files.size(), 1u);
-    EXPECT_EQ(report.value().files[0].output, direct.value());
+    for (size_t workers : {size_t{1}, size_t{4}}) {
+      SCOPED_TRACE(workers);
+      BatchOptions options;
+      options.workers = workers;
+      Result<BatchReport> report = RunDxBatch({file}, options);
+      ASSERT_TRUE(report.ok()) << report.status().ToString();
+      ASSERT_EQ(report.value().files.size(), 1u);
+      EXPECT_EQ(report.value().files[0].output, direct.value());
+    }
   }
 }
 
-TEST(BatchExec, SplitOffMatchesSplitOn) {
+// Each file runs exactly the jobs PlanDxJobs plans for it, and the
+// batch numbers them in plan order across files: the trace labels
+// "job-<i> <file>" follow input order, then plan order.
+TEST(BatchExec, JobsFollowThePlanInOrder) {
   std::vector<std::string> files = CorpusFiles();
-  BatchOptions split;
-  split.workers = 4;
-  BatchOptions whole = split;
-  whole.split_scenarios = false;
-  Result<BatchReport> a = RunDxBatch(files, split);
-  Result<BatchReport> b = RunDxBatch(files, whole);
-  ASSERT_TRUE(a.ok());
-  ASSERT_TRUE(b.ok());
-  EXPECT_GT(a.value().total_jobs, b.value().total_jobs);
-  EXPECT_EQ(b.value().total_jobs, files.size());
-  EXPECT_EQ(RenderBatchOutput(a.value()), RenderBatchOutput(b.value()));
+  BatchOptions options;
+  options.workers = 4;
+  options.collect_traces = true;
+  Result<BatchReport> report = RunDxBatch(files, options);
+  ASSERT_TRUE(report.ok());
+  ASSERT_EQ(report.value().traces.size(), report.value().total_jobs);
+  size_t index = 0;
+  for (size_t f = 0; f < files.size(); ++f) {
+    SCOPED_TRACE(files[f]);
+    Universe u;
+    Result<DxScenario> scenario =
+        ParseDxScenario(ReadFileOrDie(files[f]), &u);
+    ASSERT_TRUE(scenario.ok());
+    Result<std::vector<DxJobSpec>> plan =
+        PlanDxJobs(scenario.value(), "all");
+    ASSERT_TRUE(plan.ok());
+    ASSERT_EQ(report.value().files[f].jobs, plan.value().size());
+    for (size_t j = 0; j < plan.value().size(); ++j, ++index) {
+      EXPECT_EQ(report.value().traces[index].label,
+                "job-" + std::to_string(index) + " " + files[f]);
+    }
+  }
+  EXPECT_EQ(index, report.value().total_jobs);
+  EXPECT_GT(report.value().total_jobs, files.size());
+}
+
+// One parse per file, whatever the worker count: across a file's job
+// traces there is exactly one `dx-parse` span, and it sits in the
+// file's first job.
+TEST(BatchExec, OneParseSpanPerFile) {
+  std::vector<std::string> files = CorpusFiles();
+  ASSERT_NE(std::find_if(files.begin(), files.end(),
+                         [](const std::string& f) {
+                           return f.ends_with("/bulk_import.dx");
+                         }),
+            files.end());
+  for (size_t workers : {size_t{1}, size_t{8}}) {
+    SCOPED_TRACE(workers);
+    BatchOptions options;
+    options.workers = workers;
+    options.collect_traces = true;
+    Result<BatchReport> report = RunDxBatch(files, options);
+    ASSERT_TRUE(report.ok());
+    size_t index = 0;
+    for (const BatchFileReport& file : report.value().files) {
+      SCOPED_TRACE(file.file);
+      ASSERT_GT(file.jobs, 0u);
+      size_t parses = 0;
+      for (size_t j = 0; j < file.jobs; ++j, ++index) {
+        size_t here = 0;
+        for (const obs::TraceEvent& e :
+             report.value().traces[index].sink->events()) {
+          if (std::string_view(e.name) == obs::kPhaseParse.name) ++here;
+        }
+        if (j == 0) {
+          EXPECT_EQ(here, 1u) << "the first job carries the parse";
+        }
+        parses += here;
+      }
+      EXPECT_EQ(parses, 1u);
+    }
+  }
 }
 
 TEST(BatchExec, FailuresAreDeterministicAndReported) {
@@ -182,23 +246,16 @@ TEST(BatchExec, EmptyInputIsAnError) {
 
 TEST(EngineContext, PlanCachesAreJobLocal) {
   // Default contexts carry no cache (per-call compilation, the engine's
-  // conservative baseline); EnsureCache attaches one and is idempotent;
-  // WithFreshCache — the batch runner's per-job hand-off — never shares a
-  // cache between the source context and the job copy.
+  // conservative baseline); EnsureCache attaches one and is idempotent.
   EngineContext ctx;
   EXPECT_EQ(ctx.plan_cache, nullptr);
   ctx.EnsureCache();
   auto first = ctx.plan_cache;
   ctx.EnsureCache();
   EXPECT_EQ(ctx.plan_cache, first);  // Idempotent.
-  EngineContext job = ctx.WithFreshCache();
-  if (first != nullptr) {  // OCDX_PLAN_CACHE=off runs cacheless.
-    ASSERT_NE(job.plan_cache, nullptr);
-    EXPECT_NE(job.plan_cache, first);
-  }
   // Copies of one context share its cache: that is the intra-job contract.
-  EngineContext copy = job;
-  EXPECT_EQ(copy.plan_cache, job.plan_cache);
+  EngineContext copy = ctx;
+  EXPECT_EQ(copy.plan_cache, ctx.plan_cache);
 }
 
 TEST(EngineContext, ContextBudgetCapsHomSearch) {
@@ -235,7 +292,7 @@ TEST(EngineContext, StatsSinkCountsWork) {
 }
 
 // ---------------------------------------------------------------------------
-// One-Universe-per-job ownership (debug builds only)
+// One-owner Universe rule (debug builds only)
 // ---------------------------------------------------------------------------
 
 #ifndef NDEBUG

@@ -1,19 +1,20 @@
-// Tests for the frozen-base Universe architecture (base/value.h):
-// Freeze() / ScopedReadShare read-only states, copy-on-write overlays
-// (NewOverlay) and the single-pass Clone byte accounting.
+// Tests for the Universe sharing rule (base/value.h): a Universe is
+// read-only exactly while it has live copy-on-write overlays
+// (NewOverlay).
 //
 // The load-bearing property is *id equivalence*: a value minted through
-// an overlay must be bit-identical to the value a full Clone() would
-// have minted after the same operation sequence — that is what lets the
-// shard fan-out and snapshot serving swap clones for overlays without
-// moving a single byte of canonical output. The randomized differential
-// test drives both universes through the same interleaved
-// mint/probe/enumerate schedule and compares every observable.
+// an overlay must be bit-identical to the value a fresh Universe mints
+// after replaying the base's mints and then the overlay's — that is what
+// lets batch jobs, shard fan-out and snapshot serving run on overlays of
+// one parse without moving a single byte of canonical output. The
+// randomized differential test drives an overlay and a fresh replay
+// through the same interleaved mint/probe/enumerate schedule and
+// compares every observable.
 //
-// CI runs this suite under ThreadSanitizer (the tsan preset builds the
-// whole test tree), so the N-readers-one-frozen-base test is
-// race-checked, not just argued; the ASan leg covers the differential
-// test's arena bookkeeping.
+// CI runs this suite under ThreadSanitizer (the tsan preset's test
+// filter names it), so the N-readers-one-base test is race-checked, not
+// just argued; the ASan leg covers the differential test's arena
+// bookkeeping.
 
 #include <algorithm>
 #include <cstdint>
@@ -82,22 +83,23 @@ void ExpectUniversesAgree(const Universe& a, const Universe& b) {
   EXPECT_EQ(wa, wb) << "serialized justification arenas diverge";
 }
 
-// The differential pin: an overlay over a frozen base and a full clone
-// of the same base, driven through one interleaved random schedule of
-// mints (old constants, new constants, justified nulls, witnesses) and
-// probes, must return bit-identical Values at every step and agree on
-// every enumerable observable afterwards.
-TEST(FrozenOverlay, RandomizedDifferentialAgainstClone) {
+// The differential pin: an overlay over a populated base, and a fresh
+// universe that replays the base's mints, driven through one interleaved
+// random schedule of mints (old constants, new constants, justified
+// nulls, witnesses) and probes, must return bit-identical Values and
+// witness offsets at every step and agree on every enumerable
+// observable afterwards.
+TEST(FrozenOverlay, RandomizedDifferentialAgainstFresh) {
   Universe base;
   PopulateBase(&base, 40, 25);
-  base.Freeze();
-  ASSERT_TRUE(base.frozen());
-  ASSERT_TRUE(base.read_only());
+  Universe fresh;
+  PopulateBase(&fresh, 40, 25);  // Replays the base's mints.
+  ExpectUniversesAgree(base, fresh);
 
-  std::unique_ptr<Universe> clone = base.Clone();
   std::unique_ptr<Universe> overlay = base.NewOverlay();
   ASSERT_TRUE(overlay->is_overlay());
-  ASSERT_FALSE(clone->is_overlay());
+  ASSERT_FALSE(fresh.is_overlay());
+  ASSERT_TRUE(base.read_only());
 
   std::mt19937 rng(0xD0C5u);  // Fixed seed: the schedule is part of the test.
   std::uniform_int_distribution<int> op(0, 5);
@@ -107,34 +109,34 @@ TEST(FrozenOverlay, RandomizedDifferentialAgainstClone) {
     switch (op(rng)) {
       case 0: {  // Re-intern a base constant: must resolve, not re-mint.
         std::string name = "base_c" + std::to_string(rng() % 40);
-        Value vc = clone->Const(name);
+        Value vf = fresh.Const(name);
         Value vo = overlay->Const(name);
-        ASSERT_EQ(vc.raw(), vo.raw());
+        ASSERT_EQ(vf.raw(), vo.raw());
         break;
       }
       case 1: {  // Intern a new constant: ids must continue identically.
         std::string name = "fresh_c" + std::to_string(rng() % 60);
-        Value vc = clone->Const(name);
+        Value vf = fresh.Const(name);
         Value vo = overlay->Const(name);
-        ASSERT_EQ(vc.raw(), vo.raw());
+        ASSERT_EQ(vf.raw(), vo.raw());
         minted.push_back(vo);
         break;
       }
       case 2: {  // Mint a justified null over already-agreed values.
-        NullInfo ic, io;
-        ic.std_index = io.std_index = static_cast<int32_t>(rng() % 7);
-        ic.var = io.var = "v" + std::to_string(rng() % 4);
+        NullInfo inf, ino;
+        inf.std_index = ino.std_index = static_cast<int32_t>(rng() % 7);
+        inf.var = ino.var = "v" + std::to_string(rng() % 4);
         if (!minted.empty()) {
           std::vector<Value> witness = {minted[rng() % minted.size()]};
-          WitnessRef rc = clone->InternWitness(witness);
+          WitnessRef rf = fresh.InternWitness(witness);
           WitnessRef ro = overlay->InternWitness(witness);
-          ASSERT_EQ(rc, ro);
-          ic.witness = rc;
-          io.witness = ro;
+          ASSERT_EQ(rf, ro);
+          inf.witness = rf;
+          ino.witness = ro;
         }
-        Value vc = clone->MintNull(std::move(ic));
-        Value vo = overlay->MintNull(std::move(io));
-        ASSERT_EQ(vc.raw(), vo.raw());
+        Value vf = fresh.MintNull(std::move(inf));
+        Value vo = overlay->MintNull(std::move(ino));
+        ASSERT_EQ(vf.raw(), vo.raw());
         minted.push_back(vo);
         break;
       }
@@ -142,77 +144,52 @@ TEST(FrozenOverlay, RandomizedDifferentialAgainstClone) {
         std::string name = (rng() % 2 == 0)
                                ? "base_c" + std::to_string(rng() % 80)
                                : "fresh_c" + std::to_string(rng() % 80);
-        ASSERT_EQ(clone->FindConst(name).raw(), overlay->FindConst(name).raw());
+        ASSERT_EQ(fresh.FindConst(name).raw(), overlay->FindConst(name).raw());
         break;
       }
       case 4: {  // Describe an agreed value (exercises name fallthrough).
         if (!minted.empty()) {
           Value v = minted[rng() % minted.size()];
-          ASSERT_EQ(clone->Describe(v), overlay->Describe(v));
+          ASSERT_EQ(fresh.Describe(v), overlay->Describe(v));
         }
         break;
       }
       default: {  // Resolve a random base null's witness through both.
         Value n = Value::MakeNull(static_cast<uint32_t>(rng() % 25));
-        const NullInfo& nc = clone->null_info(n);
+        const NullInfo& nf = fresh.null_info(n);
         const NullInfo& no = overlay->null_info(n);
-        ASSERT_EQ(nc.witness, no.witness);
-        auto sc = clone->WitnessOf(nc.witness);
+        ASSERT_EQ(nf.witness, no.witness);
+        auto sf = fresh.WitnessOf(nf.witness);
         auto so = overlay->WitnessOf(no.witness);
-        ASSERT_TRUE(std::equal(sc.begin(), sc.end(), so.begin(), so.end()));
+        ASSERT_TRUE(std::equal(sf.begin(), sf.end(), so.begin(), so.end()));
         break;
       }
     }
   }
-  ExpectUniversesAgree(*clone, *overlay);
+  ExpectUniversesAgree(fresh, *overlay);
   EXPECT_GT(overlay->num_consts(), 40u);
   EXPECT_GT(overlay->num_nulls(), 25u);
+  // The base never moved.
+  EXPECT_EQ(base.num_consts(), 40u);
+  EXPECT_EQ(base.num_nulls(), 25u);
 }
 
-// Clone's single-pass copy reports exactly ApproxCloneBytes and
-// reproduces the whole base (the PR 10 double-copy fix: witness values
-// are copied once, not twice).
-TEST(FrozenOverlay, CloneReportsBytesAndReproducesBase) {
-  Universe base;
-  PopulateBase(&base, 10, 50);
-  uint64_t copied = 0;
-  std::unique_ptr<Universe> clone = base.Clone(&copied);
-  EXPECT_EQ(copied, base.ApproxCloneBytes());
-  EXPECT_GT(copied, 50u * sizeof(Value));  // The arena dominates here.
-  ExpectUniversesAgree(base, *clone);
-  // The counter accumulates across clones.
-  clone->Clone(&copied);
-  EXPECT_EQ(copied, 2 * base.ApproxCloneBytes());
-}
-
-// ApproxCloneBytes of an overlay counts the base recursively (it
-// approximates what a flattening clone of the view would copy), and an
-// empty overlay costs nothing beyond its base.
-TEST(FrozenOverlay, ApproxCloneBytesRecursesThroughBase) {
-  Universe base;
-  PopulateBase(&base, 10, 10);
-  base.Freeze();
-  std::unique_ptr<Universe> overlay = base.NewOverlay();
-  EXPECT_EQ(overlay->ApproxCloneBytes(), base.ApproxCloneBytes());
-  overlay->Const("only_in_overlay");
-  EXPECT_GT(overlay->ApproxCloneBytes(), base.ApproxCloneBytes());
-}
-
-// Overlays nest: the batch executor freezes a planning-pass universe,
-// jobs overlay it, and a job's shard fan-out overlays *that* overlay
-// (after a ScopedReadShare). Reads must fall through both levels and
-// ids must keep continuing the combined space.
+// Overlays nest: a batch job runs on an overlay of its file's parse,
+// and the job's shard fan-out overlays *that* overlay. Reads must fall
+// through both levels, ids must keep continuing the combined space, and
+// each level is read-only exactly while the level above it lives.
 TEST(FrozenOverlay, NestedOverlaysFallThroughBothLevels) {
   Universe base;
   PopulateBase(&base, 5, 3);
-  base.Freeze();
 
   std::unique_ptr<Universe> mid = base.NewOverlay();
   Value mid_const = mid->Const("mid_c");
   Value mid_null = mid->FreshNull("mid_n");
-  mid->Freeze();
+  EXPECT_TRUE(base.read_only());
+  EXPECT_FALSE(mid->read_only());
 
   std::unique_ptr<Universe> top = mid->NewOverlay();
+  EXPECT_TRUE(mid->read_only());
   // Base and mid values resolve by name/id through the top overlay.
   EXPECT_EQ(top->FindConst("base_c0"), base.FindConst("base_c0"));
   EXPECT_EQ(top->FindConst("mid_c"), mid_const);
@@ -223,30 +200,37 @@ TEST(FrozenOverlay, NestedOverlaysFallThroughBothLevels) {
   Value top_null = top->FreshNull();
   EXPECT_EQ(top_null.id(), mid->num_nulls());
   EXPECT_EQ(top->num_consts(), mid->num_consts() + 1);
+
+  top.reset();
+  EXPECT_FALSE(mid->read_only());
+  EXPECT_TRUE(base.read_only());
+  mid.reset();
+  EXPECT_FALSE(base.read_only());
 }
 
-// The TSan pin: one frozen base, N reader threads, each minting through
-// its own private overlay while reading shared base state — the exact
-// shape of the shard fan-out and of ocdxd --preload serving. Any
-// missing happens-before edge or hidden mutation in the read path is a
-// reported race under the tsan preset.
+// The TSan pin: one base, N reader threads, each minting through its own
+// private overlay while reading shared base state — the exact shape of
+// the shard fan-out. The overlays are minted on the owner thread before
+// the readers start. Any missing happens-before edge or hidden mutation
+// in the read path is a reported race under the tsan preset.
 TEST(FrozenOverlay, ManyThreadsReadOneFrozenBaseThroughOverlays) {
   Universe base;
   PopulateBase(&base, 30, 20);
-  base.Freeze();
 
   constexpr int kThreads = 8;
+  std::vector<std::unique_ptr<Universe>> overlays;
+  for (int i = 0; i < kThreads; ++i) overlays.push_back(base.NewOverlay());
   std::vector<std::string> describes(kThreads);
   std::vector<std::thread> threads;
   threads.reserve(kThreads);
   for (int i = 0; i < kThreads; ++i) {
-    threads.emplace_back([&base, &describes, i] {
-      std::unique_ptr<Universe> overlay = base.NewOverlay();
+    threads.emplace_back([&base, &describes, overlay = overlays[i].get(), i] {
       std::string acc;
       for (int round = 0; round < 200; ++round) {
-        // Shared reads through the overlay (fall through to the base).
+        // Shared reads: through the overlay, and of the base directly.
         Value c = overlay->FindConst("base_c" + std::to_string(round % 30));
         acc += overlay->Describe(c);
+        acc += base.Describe(c);
         Value n = Value::MakeNull(static_cast<uint32_t>(round % 20));
         acc += overlay->Describe(n);
         const NullInfo& info = overlay->null_info(n);
@@ -269,29 +253,51 @@ TEST(FrozenOverlay, ManyThreadsReadOneFrozenBaseThroughOverlays) {
   EXPECT_EQ(base.num_nulls(), 20u);
 }
 
-// ScopedReadShare is the temporary form of Freeze: reads from foreign
-// threads are legal only while the share is held, and the universe is
-// mutable again afterwards — the fan-out's lifecycle.
-TEST(FrozenOverlay, ScopedReadShareAllowsForeignReadsThenRestoresOwnership) {
+// The one sharing rule: a universe is read-only exactly while it has
+// live overlays. Foreign threads may read it then; once the last overlay
+// is gone it is mutable again, still owned by its first thread.
+TEST(FrozenOverlay, BaseIsReadOnlyExactlyWhileOverlaysLive) {
   Universe u;
   PopulateBase(&u, 5, 2);
   EXPECT_FALSE(u.read_only());
   {
-    Universe::ScopedReadShare share(u);
+    std::unique_ptr<Universe> a = u.NewOverlay();
     EXPECT_TRUE(u.read_only());
-    std::unique_ptr<Universe> overlay = u.NewOverlay();
-    std::thread reader([&u, &overlay] {
+    std::unique_ptr<Universe> b = u.NewOverlay();
+    std::thread reader([&u, &a] {
       EXPECT_TRUE(u.FindConst("base_c1").IsValid());
-      overlay->Const("from_reader");
+      a->Const("from_reader");
     });
     reader.join();
-    EXPECT_EQ(overlay->num_consts(), u.num_consts() + 1);
+    EXPECT_EQ(a->num_consts(), u.num_consts() + 1);
+    b.reset();
+    EXPECT_TRUE(u.read_only()) << "one overlay is still live";
   }
   EXPECT_FALSE(u.read_only());
-  // The owner can mint again once the share is released.
-  Value v = u.Const("after_share");
+  // The owner can mint again once the last overlay is gone.
+  Value v = u.Const("after_overlays");
   EXPECT_EQ(v.id(), u.num_consts() - 1);
 }
+
+#ifndef NDEBUG
+
+using FrozenOverlayDeathTest = testing::Test;
+
+// Writing to a base while an overlay reads it asserts; the same write
+// succeeds once the overlay is destroyed.
+TEST(FrozenOverlayDeathTest, WriteToBaseWithLiveOverlayAsserts) {
+  testing::GTEST_FLAG(death_test_style) = "threadsafe";
+  Universe base;
+  PopulateBase(&base, 3, 1);
+  std::unique_ptr<Universe> overlay = base.NewOverlay();
+  EXPECT_DEATH(base.Const("while_shared"), "live overlays");
+  EXPECT_DEATH(base.FreshNull(), "live overlays");
+  overlay.reset();
+  EXPECT_TRUE(base.Const("after_release").IsValid());
+  EXPECT_EQ(base.num_consts(), 4u);
+}
+
+#endif  // NDEBUG
 
 }  // namespace
 }  // namespace ocdx

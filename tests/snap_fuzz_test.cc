@@ -152,6 +152,57 @@ TEST(SnapFuzz, HeaderBytesExhaustive) {
   }
 }
 
+// A zero-ary relation has one possible annotation vector (the empty
+// one), so its annotation pool holds at most one entry. A stored pool
+// size of 2^40 is corrupt and must be rejected as kDataLoss before it
+// sizes an allocation.
+TEST(SnapFuzz, ZeroAryAnnotationPoolIsBounded) {
+  const std::string src =
+      "schema s {\n  R();\n}\n"
+      "instance I over s {\n  R();\n}\n";
+  Result<snap::SnapshotBundle> bundle =
+      snap::BuildSnapshotBundle("zero_ary.dx", src);
+  ASSERT_TRUE(bundle.ok()) << bundle.status().ToString();
+  Result<std::string> bytes = snap::SerializeSnapshot(bundle.value());
+  ASSERT_TRUE(bytes.ok()) << bytes.status().ToString();
+  std::string mutant = bytes.value();
+  ASSERT_TRUE(snap::ParseSnapshot(AsBytes(mutant)).ok());
+
+  Result<std::vector<snap::SectionView>> sections =
+      snap::ParseContainer(AsBytes(mutant));
+  ASSERT_TRUE(sections.ok());
+  ASSERT_EQ(sections.value().size(), 4u);
+  const snap::SectionView& instances = sections.value()[2];
+  ASSERT_EQ(instances.id, static_cast<uint32_t>(snap::SectionId::kInstances));
+  const size_t payload_at = static_cast<size_t>(
+      instances.payload.data() -
+      reinterpret_cast<const uint8_t*>(mutant.data()));
+  const size_t payload_len = instances.payload.size();
+
+  auto u64 = [](uint64_t v) {
+    return std::string(reinterpret_cast<const char*>(&v), sizeof v);
+  };
+  // R's name, then its relation header: arity 0, pool size 1.
+  const std::string header = u64(1) + "R" + u64(0) + u64(1);
+  const size_t at = mutant.find(header, payload_at);
+  ASSERT_NE(at, std::string::npos);
+  ASSERT_LE(at + header.size(), payload_at + payload_len);
+  mutant.replace(at + header.size() - sizeof(uint64_t), sizeof(uint64_t),
+                 u64(uint64_t{1} << 40));
+  // Re-seal the section checksum, so the decoder sees the pool size.
+  const uint64_t sum = snap::Checksum64(
+      AsBytes(mutant).subspan(payload_at, payload_len));
+  mutant.replace(payload_at - sizeof(uint64_t), sizeof(uint64_t), u64(sum));
+
+  Result<snap::SnapshotBundle> loaded = snap::ParseSnapshot(AsBytes(mutant));
+  ASSERT_FALSE(loaded.ok());
+  EXPECT_EQ(loaded.status().code(), StatusCode::kDataLoss)
+      << loaded.status().ToString();
+  EXPECT_NE(loaded.status().message().find("annotation pool"),
+            std::string::npos)
+      << loaded.status().ToString();
+}
+
 class SnapFaultTest : public ::testing::Test {
  protected:
   void TearDown() override { fault::Clear(); }

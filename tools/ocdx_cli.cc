@@ -47,9 +47,9 @@
 // the table goes to stderr, traces and JSON to their named files (see
 // docs/observability.md).
 //   -j N / --jobs=N                  batch: worker threads (default 1)
-//   --command=CMD                    batch: driver command (default all)
-//   --no-split                       batch: one job per file (no
-//                                    within-scenario fan-out)
+//   --command=CMD                    batch: driver command (default all);
+//                                    each file is parsed once and CMD
+//                                    runs as its planned slices
 //
 // Exit codes: 0 = success; 1 = error (unreadable/unparsable input, hard
 // failure); 2 = usage; 3 = the run completed but at least one evaluation
@@ -98,7 +98,7 @@ constexpr char kUsage[] =
     "            [--shards=N] [--stats] [--stats-json=FILE] "
     "[--trace-out=FILE]\n"
     "       ocdx batch FILE.dx... [-j N] [--command=CMD] "
-    "[--engine=MODE] [--no-split]\n"
+    "[--engine=MODE]\n"
     "                  [--stats] [--stats-json=FILE] [--trace-out=FILE]\n"
     "       ocdx snapshot write FILE.dx OUT.snap [--engine=MODE] "
     "[budget flags]\n"
@@ -197,7 +197,6 @@ int main(int argc, char** argv) {
   std::string stats_json_flag;
   std::string trace_out_flag;
   bool stats_flag = false;
-  bool no_split = false;
   DxDriverOptions options;
   for (int i = 1; i < argc; ++i) {
     std::string_view arg = argv[i];
@@ -211,10 +210,6 @@ int main(int argc, char** argv) {
     }
     if (arg.size() > 2 && arg.substr(0, 2) == "-j") {  // make-style "-j8"
       jobs_flag = std::string(arg.substr(2));
-      continue;
-    }
-    if (arg == "--no-split") {
-      no_split = true;
       continue;
     }
     if (arg == "--stats") {
@@ -306,7 +301,6 @@ int main(int argc, char** argv) {
     batch.engine = options.engine;
     batch.driver = options;
     batch.command = command_flag.empty() ? "all" : command_flag;
-    batch.split_scenarios = !no_split;
     if (!jobs_flag.empty()) {
       char* end = nullptr;
       long n = std::strtol(jobs_flag.c_str(), &end, 10);

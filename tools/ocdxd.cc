@@ -217,8 +217,9 @@ int main(int argc, char** argv) {
 
   // Warm set: each entry keeps the snapshot's own file path alongside the
   // bundle (whose source_path is the `.dx` path recorded at write time);
-  // a request may address the bundle by either name. The bundle's
-  // universe is frozen (snap/snapshot.h), and each bundle owns one
+  // a request may address the bundle by either name. Requests run on
+  // overlays of the bundle's universe (snap/snapshot.h), and each bundle
+  // owns one
   // SharedPlanTable so plans compile once per *server lifetime*, not per
   // request — ROADMAP item 3's serving contract. The table is omitted
   // when OCDX_PLAN_CACHE=off, preserving the compile-per-call escape
@@ -345,7 +346,7 @@ int main(int argc, char** argv) {
       if (warm != nullptr) {
         // The bundle's server-lifetime plan table rides the request
         // context; each request still runs over its own private overlay
-        // of the frozen bundle universe (RunSnapshotCommand). Cold
+        // of the bundle universe (RunSnapshotCommand). Cold
         // requests get no table — a fresh parse mints fresh formula
         // identities, so cross-request sharing could never hit.
         request.engine.shared_plans =
