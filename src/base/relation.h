@@ -3,12 +3,13 @@
 // Storage layout: tuple payloads live in a per-relation bump arena
 // (base/arena.h) and rows are *relocatable arena handles* (ArenaRef) into
 // it — adding a tuple is a hash, a dedup probe against a flat
-// open-addressed id table (base/dedup.h), and a memcpy; annotation
-// vectors are interned into a per-relation pool (a chase emits thousands
-// of tuples under a handful of annotations). Batch AddAll reserves the
-// arena once for a whole delta, so firing n chase witnesses costs O(head
-// atoms) allocations, not O(n). Copying a relation re-interns rows into
-// the copy's own arena (indexes rebuild lazily on demand).
+// open-addressed id table (util/dedup.h, the same DedupIndex the constant
+// interner uses), and a memcpy; annotation vectors are interned into a
+// per-relation pool (a chase emits thousands of tuples under a handful
+// of annotations). Batch AddAll reserves the arena once for a whole
+// delta, so firing n chase witnesses costs O(head atoms) allocations, not
+// O(n). Copying a relation re-interns rows into the copy's own arena
+// (indexes rebuild lazily on demand).
 //
 // \invariant TupleRef lifetime: arena chunks never move or shrink before
 //   the relation dies, so every TupleRef / AnnotatedTupleRef handed out
@@ -69,9 +70,9 @@
 #include <vector>
 
 #include "base/arena.h"
-#include "base/dedup.h"
 #include "base/tuple.h"
 #include "base/tuple_index.h"
+#include "util/dedup.h"
 
 namespace ocdx {
 

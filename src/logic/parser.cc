@@ -117,6 +117,11 @@ Status FormulaParser::Expect(TokKind kind, std::string_view what) {
   return Status::OK();
 }
 
+Status FormulaParser::NestingError() const {
+  return MakeError(
+      StrCat("formula nested deeper than ", kMaxNestingDepth, " levels"));
+}
+
 bool FormulaParser::Accept(TokKind kind) {
   if (Peek().kind != kind) return false;
   Advance();
@@ -130,6 +135,10 @@ Result<FormulaPtr> FormulaParser::ParseComplete() {
 }
 
 Result<FormulaPtr> FormulaParser::ParseFormulaExpr() {
+  // Every recursion back into a formula (parentheses, quantifier bodies,
+  // implication consequents) passes through here.
+  NestingScope scope(&depth_);
+  if (scope.exceeded()) return NestingError();
   if (Peek().kind == TokKind::kIdent &&
       (Peek().text == "exists" || Peek().text == "forall")) {
     bool is_exists = Peek().text == "exists";
@@ -187,7 +196,10 @@ Result<FormulaPtr> FormulaParser::ParseConjunction() {
 }
 
 Result<FormulaPtr> FormulaParser::ParseUnary() {
-  if (Accept(TokKind::kBang)) {
+  if (Peek().kind == TokKind::kBang) {
+    NestingScope scope(&depth_);
+    if (scope.exceeded()) return NestingError();
+    Advance();
     OCDX_ASSIGN_OR_RETURN(FormulaPtr inner, ParseUnary());
     return Formula::Not(std::move(inner));
   }
@@ -241,7 +253,10 @@ Result<Term> FormulaParser::ParseTerm() {
     return MakeError("expected a term");
   }
   std::string name = Advance().text;
-  if (Accept(TokKind::kLParen)) {
+  if (Peek().kind == TokKind::kLParen) {
+    NestingScope scope(&depth_);
+    if (scope.exceeded()) return NestingError();
+    Advance();
     OCDX_ASSIGN_OR_RETURN(std::vector<Term> args, ParseTermList());
     OCDX_RETURN_IF_ERROR(Expect(TokKind::kRParen, "')'"));
     return Term::Func(std::move(name), std::move(args));

@@ -63,8 +63,16 @@ Result<FormulaPtr> ParseFormula(std::string_view text, Universe* universe);
 
 /// Recursive-descent parser over a token stream. Exposed so the rule
 /// parser (src/mapping/parser.cc) can reuse formula parsing mid-stream.
+///
+/// Nesting is capped at kMaxNestingDepth levels, counting parentheses,
+/// negations, quantifier blocks, implication consequents and function-
+/// term argument lists, so hostile input cannot overflow the C++ stack:
+/// one level deeper is a ParseError positioned "at offset N" like every
+/// other parse error.
 class FormulaParser {
  public:
+  static constexpr size_t kMaxNestingDepth = 256;
+
   FormulaParser(std::vector<Token> tokens, Universe* universe)
       : tokens_(std::move(tokens)), universe_(universe) {}
 
@@ -98,9 +106,25 @@ class FormulaParser {
   Result<FormulaPtr> ParsePrimary();
   Result<std::vector<Term>> ParseTermList();
 
+  /// Enters one nesting level for the lifetime of the scope (see
+  /// kMaxNestingDepth); check exceeded() right after constructing it.
+  class NestingScope {
+   public:
+    explicit NestingScope(size_t* depth) : depth_(depth) { ++*depth_; }
+    ~NestingScope() { --*depth_; }
+    NestingScope(const NestingScope&) = delete;
+    NestingScope& operator=(const NestingScope&) = delete;
+    bool exceeded() const { return *depth_ > kMaxNestingDepth; }
+
+   private:
+    size_t* depth_;
+  };
+  Status NestingError() const;
+
   std::vector<Token> tokens_;
   Universe* universe_;
   size_t cursor_ = 0;
+  size_t depth_ = 0;  ///< Live NestingScopes.
 };
 
 }  // namespace ocdx

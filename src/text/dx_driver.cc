@@ -1,10 +1,11 @@
 #include "text/dx_driver.h"
 
 #include <algorithm>
-#include <map>
-#include <set>
+#include <deque>
 #include <span>
+#include <string_view>
 #include <tuple>
+#include <unordered_map>
 
 #include "certain/certain.h"
 #include "chase/canonical.h"
@@ -79,90 +80,173 @@ constexpr char kUnknownCommand[] =
 // that both engine modes agree on — so golden output never depends on the
 // order in which nulls happened to be minted. Hand-declared nulls (from
 // `.dx` instance literals) keep their `_name` form.
-std::map<Value, std::string> CanonicalNullNames(const AnnotatedInstance& inst,
-                                                const Universe& u) {
-  std::set<Value> nulls;
+using NullNames = std::unordered_map<Value, std::string, ValueHash>;
+
+NullNames CanonicalNullNames(const AnnotatedInstance& inst,
+                             const Universe& u) {
+  std::vector<Value> nulls;
   for (const auto& [name, rel] : inst.relations()) {
     for (const AnnotatedTupleRef& t : rel.tuples()) {
       for (Value v : t.values) {
-        if (v.IsNull()) nulls.insert(v);
+        if (v.IsNull()) nulls.push_back(v);
       }
     }
   }
-  std::map<Value, std::string> names;
+  std::sort(nulls.begin(), nulls.end());
+  nulls.erase(std::unique(nulls.begin(), nulls.end()), nulls.end());
+  NullNames names;
+  names.reserve(nulls.size());
   // Structured key, not a concatenated string: constants may contain any
   // separator character, and a key collision would make the sort fall
   // through to minting order — the engine-dependence this renaming
-  // exists to remove.
-  using JustKey = std::tuple<int32_t, std::vector<std::string>, std::string>;
-  std::vector<std::pair<JustKey, Value>> justified;
+  // exists to remove. Witness positions compare by their printed text:
+  // constants view their interned name; nulls (source nulls inside a
+  // witness) are described once into `null_texts`, whose elements never
+  // move.
+  struct JustKey {
+    int32_t std_index;
+    std::vector<std::string_view> witness;
+    std::string_view var;
+    Value null;
+  };
+  std::deque<std::string> null_texts;
+  std::vector<JustKey> justified;
   for (Value v : nulls) {
     const NullInfo& info = u.null_info(v);
     if (info.std_index < 0) {
-      names[v] = u.Describe(v);
+      names.emplace(v, u.Describe(v));
       continue;
     }
     std::span<const Value> wvals = u.WitnessOf(info.witness);
-    std::vector<std::string> witness;
-    witness.reserve(wvals.size());
-    for (Value w : wvals) witness.push_back(u.Describe(w));
-    justified.emplace_back(
-        JustKey{info.std_index, std::move(witness), info.var}, v);
+    JustKey key{info.std_index, {}, info.var, v};
+    key.witness.reserve(wvals.size());
+    for (Value w : wvals) {
+      key.witness.push_back(w.IsConst()
+                                ? std::string_view(u.ConstName(w.id()))
+                                : null_texts.emplace_back(u.Describe(w)));
+    }
+    justified.push_back(std::move(key));
   }
-  std::sort(justified.begin(), justified.end());
+  std::sort(justified.begin(), justified.end(),
+            [](const JustKey& a, const JustKey& b) {
+              return std::tie(a.std_index, a.witness, a.var, a.null) <
+                     std::tie(b.std_index, b.witness, b.var, b.null);
+            });
   for (size_t i = 0; i < justified.size(); ++i) {
-    names[justified[i].second] = StrCat("@", i + 1);
+    names.emplace(justified[i].null, "@" + std::to_string(i + 1));
   }
   return names;
 }
 
-std::string RenderValue(Value v, const Universe& u,
-                        const std::map<Value, std::string>& null_names) {
-  if (v.IsConst()) return StrCat("'", u.Describe(v), "'");
+// The renderers below append into a caller-owned string: no temporary
+// per value, tuple or line.
+
+void RenderValue(Value v, const Universe& u, const NullNames& null_names,
+                 std::string* out) {
+  if (v.IsConst()) {
+    out->push_back('\'');
+    out->append(u.ConstName(v.id()));
+    out->push_back('\'');
+    return;
+  }
   auto it = null_names.find(v);
-  return it != null_names.end() ? it->second : u.Describe(v);
+  if (it != null_names.end()) {
+    out->append(it->second);
+  } else {
+    out->append(u.Describe(v));
+  }
 }
 
-std::string RenderAnnotatedTuple(const AnnotatedTupleRef& t, const Universe& u,
-                                 const std::map<Value, std::string>& names) {
-  std::vector<std::string> anns;
-  for (Ann a : t.ann) anns.push_back(AnnToString(a));
+// `(v1, v2)^(op,cl)`, or `(_)^(op,cl)` for an empty marker.
+void RenderAnnotatedTuple(const AnnotatedTupleRef& t, const Universe& u,
+                          const NullNames& names, std::string* out) {
   if (t.IsEmptyMarker()) {
-    return StrCat("(_)^(", Join(anns, ","), ")");
-  }
-  std::vector<std::string> vals;
-  for (Value v : t.values) vals.push_back(RenderValue(v, u, names));
-  return StrCat("(", Join(vals, ", "), ")^(", Join(anns, ","), ")");
-}
-
-std::string RenderAnnotatedInstance(const AnnotatedInstance& inst,
-                                    const Universe& u,
-                                    const std::map<Value, std::string>& names,
-                                    std::string_view indent) {
-  std::string out;
-  for (const auto& [name, rel] : inst.relations()) {
-    std::vector<std::string> lines;
-    for (const AnnotatedTupleRef& t : rel.tuples()) {
-      lines.push_back(RenderAnnotatedTuple(t, u, names));
+    out->append("(_)");
+  } else {
+    out->push_back('(');
+    for (size_t i = 0; i < t.values.size(); ++i) {
+      if (i > 0) out->append(", ");
+      RenderValue(t.values[i], u, names, out);
     }
-    std::sort(lines.begin(), lines.end());
-    out += lines.empty()
-               ? StrCat(indent, name, " = { }\n")
-               : StrCat(indent, name, " = { ", Join(lines, ", "), " }\n");
+    out->push_back(')');
   }
-  return out;
+  out->append("^(");
+  for (size_t i = 0; i < t.ann.size(); ++i) {
+    if (i > 0) out->push_back(',');
+    out->append(AnnToString(t.ann[i]));
+  }
+  out->push_back(')');
 }
 
-std::string RenderRelation(const Relation& rel, const Universe& u) {
-  std::map<Value, std::string> no_names;
-  std::vector<std::string> lines;
-  for (TupleRef t : rel.tuples()) {
-    std::vector<std::string> vals;
-    for (Value v : t) vals.push_back(RenderValue(v, u, no_names));
-    lines.push_back(StrCat("(", Join(vals, ", "), ")"));
+// Canonical row order for printing: rows are rendered back to back into
+// one buffer, then appended sorted by their text and joined by ", ".
+class SortedRows {
+ public:
+  /// Starts a new row; render it by appending to the returned buffer.
+  std::string* NextRow() {
+    starts_.push_back(buf_.size());
+    return &buf_;
   }
-  std::sort(lines.begin(), lines.end());
-  return lines.empty() ? "{ }" : StrCat("{ ", Join(lines, ", "), " }");
+
+  /// Appends `{ }` for no rows, else `{ r1, r2, ... }` in text order, and
+  /// clears the rows for reuse.
+  void AppendBraced(std::string* out) {
+    if (starts_.empty()) {
+      out->append("{ }");
+      return;
+    }
+    views_.clear();
+    for (size_t i = 0; i < starts_.size(); ++i) {
+      size_t end = i + 1 < starts_.size() ? starts_[i + 1] : buf_.size();
+      views_.emplace_back(buf_.data() + starts_[i], end - starts_[i]);
+    }
+    std::sort(views_.begin(), views_.end());
+    out->append("{ ");
+    for (size_t i = 0; i < views_.size(); ++i) {
+      if (i > 0) out->append(", ");
+      out->append(views_[i]);
+    }
+    out->append(" }");
+    buf_.clear();
+    starts_.clear();
+  }
+
+ private:
+  std::string buf_;
+  std::vector<size_t> starts_;
+  std::vector<std::string_view> views_;
+};
+
+void RenderAnnotatedInstance(const AnnotatedInstance& inst, const Universe& u,
+                             const NullNames& names, std::string_view indent,
+                             std::string* out) {
+  SortedRows rows;
+  for (const auto& [name, rel] : inst.relations()) {
+    for (const AnnotatedTupleRef& t : rel.tuples()) {
+      RenderAnnotatedTuple(t, u, names, rows.NextRow());
+    }
+    out->append(indent);
+    out->append(name);
+    out->append(" = ");
+    rows.AppendBraced(out);
+    out->push_back('\n');
+  }
+}
+
+void RenderRelation(const Relation& rel, const Universe& u,
+                    std::string* out) {
+  const NullNames no_names;
+  SortedRows rows;
+  for (TupleRef t : rel.tuples()) {
+    std::string* row = rows.NextRow();
+    row->push_back('(');
+    for (size_t i = 0; i < t.size(); ++i) {
+      if (i > 0) row->append(", ");
+      RenderValue(t[i], u, no_names, row);
+    }
+    row->push_back(')');
+  }
+  rows.AppendBraced(out);
 }
 
 // ---------------------------------------------------------------------------
@@ -354,8 +438,7 @@ Result<std::string> ChaseText(const DxScenario& sc, Universe* u,
         continue;
       }
       CanonicalSolution csol = std::move(chased).value();
-      std::map<Value, std::string> names =
-          CanonicalNullNames(csol.annotated, *u);
+      NullNames names = CanonicalNullNames(csol.annotated, *u);
       size_t markers = 0;
       for (const auto& [rel_name, rel] : csol.annotated.relations()) {
         markers += rel.size() - rel.NumProperTuples();
@@ -365,7 +448,7 @@ Result<std::string> ChaseText(const DxScenario& sc, Universe* u,
         fresh += t.fresh_nulls.size();
       }
       out += StrCat("chase ", m.name, " / ", inst.name, ":\n");
-      out += RenderAnnotatedInstance(csol.annotated, *u, names, "  ");
+      RenderAnnotatedInstance(csol.annotated, *u, names, "  ", &out);
       out += StrCat("  triggers=", csol.triggers.size(), ", fresh nulls=",
                     fresh, ", empty markers=", markers, "\n");
     }
@@ -455,8 +538,10 @@ Result<std::string> CertainText(const DxScenario& sc, Universe* u,
             OCDX_RETURN_IF_ERROR(query_error(answers.status()));
             continue;
           }
-          out += StrCat(head, " = ", RenderRelation(answers.value(), *u),
-                        "  [", verdict.method, "; exhaustive=",
+          out += head;
+          out += " = ";
+          RenderRelation(answers.value(), *u, &out);
+          out += StrCat("  [", verdict.method, "; exhaustive=",
                         YesNo(verdict.exhaustive), "]\n");
         }
       }

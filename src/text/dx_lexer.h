@@ -49,9 +49,16 @@ enum class DxTokKind : uint8_t {
   kEnd,
 };
 
+/// One token. `text` is a view into the source passed to DxLex — no
+/// bytes are copied — so a token is only valid while that source is
+/// alive and unmodified; ParseDxScenario keeps both for exactly the
+/// duration of one parse. Anything a declaration keeps beyond the parse
+/// (names, descriptions, the logic tokens of rule and query blocks) is
+/// copied into its own std::string at that point; constants are interned
+/// straight from the view (the interner copies on first sight).
 struct DxToken {
   DxTokKind kind;
-  std::string text;
+  std::string_view text;  ///< Quoted strings: the bytes between the quotes.
   size_t offset;  ///< Byte offset in the source; the parser turns offsets
                   ///< into "line L, col C" through DxLineIndex on demand.
 };
@@ -67,8 +74,11 @@ struct DxLexOptions {
   bool elide_instance_rows = false;
 };
 
-/// Splits a `.dx` source into tokens. Fails with a positioned ParseError
-/// ("line L, col C") on unknown characters or unterminated quotes.
+/// Splits a `.dx` source into tokens (views into `src`; see DxToken).
+/// Lexing is eager — the whole source is tokenized before parsing starts
+/// — so a lexical error anywhere wins over a parse error earlier in the
+/// file. Fails with a positioned ParseError ("line L, col C") on unknown
+/// characters or unterminated quotes.
 Result<std::vector<DxToken>> DxLex(std::string_view src);
 Result<std::vector<DxToken>> DxLex(std::string_view src,
                                    const DxLexOptions& options);

@@ -1,7 +1,7 @@
 #include "text/dx_parser.h"
 
+#include <functional>
 #include <map>
-#include <optional>
 #include <set>
 
 #include "logic/budget.h"
@@ -36,15 +36,6 @@ Status TranslatePositions(const Status& status, const DxLineIndex& lines) {
                                       msg.substr(end)));
 }
 
-// One parsed instance fact, held until the whole block is read so the
-// plain-vs-annotated decision can consider every fact.
-struct ParsedFact {
-  std::string rel;
-  Tuple values;                 ///< Empty for an empty marker.
-  std::optional<AnnVec> ann;    ///< Set iff any position was annotated.
-  size_t offset = 0;
-};
-
 class DxParser {
  public:
   DxParser(std::string_view src, std::vector<DxToken> tokens,
@@ -55,7 +46,9 @@ class DxParser {
 
  private:
   const DxToken& Peek() const { return tokens_[cursor_]; }
-  DxToken Advance() {
+  /// Returns the current token and moves past it (never past kEnd). The
+  /// reference is into tokens_, valid for the whole parse.
+  const DxToken& Advance() {
     return tokens_[cursor_ < tokens_.size() - 1 ? cursor_++ : cursor_];
   }
   bool AtEnd() const { return Peek().kind == DxTokKind::kEnd; }
@@ -85,11 +78,17 @@ class DxParser {
     Advance();
     return Status::OK();
   }
-  Result<std::string> ExpectIdent(std::string_view what) {
+  /// The identifier at the cursor, as a view into the source.
+  Result<std::string_view> ExpectIdentView(std::string_view what) {
     if (Peek().kind != DxTokKind::kIdent) {
       return Error(StrCat("expected ", what));
     }
     return Advance().text;
+  }
+  /// As ExpectIdentView, materialized for a declaration that keeps it.
+  Result<std::string> ExpectIdent(std::string_view what) {
+    OCDX_ASSIGN_OR_RETURN(std::string_view ident, ExpectIdentView(what));
+    return std::string(ident);
   }
 
   Status ParseScenarioDecl(DxScenario* out);
@@ -99,7 +98,20 @@ class DxParser {
   Status ParseInstanceDecl(DxScenario* out);
   Status ParseQueryDecl(DxScenario* out);
 
-  Result<ParsedFact> ParseFact(const Schema& schema);
+  /// ParseFact state, reused across the facts of one instance block: the
+  /// scratch row, and the schema relation and target relation of the
+  /// previous fact (looked up again only when the relation name changes).
+  struct FactScratch {
+    Tuple values;  ///< Stays empty for an empty marker.
+    AnnVec ann;
+    std::string rel;
+    const RelationDecl* decl = nullptr;
+    AnnotatedRelation* target = nullptr;  ///< Null before the first fact.
+  };
+
+  /// Parses one fact of an instance over `schema` and adds it to `*decl`.
+  Status ParseFact(const Schema& schema, DxInstanceDecl* decl,
+                   FactScratch* fact);
   Result<Value> ParseValue();
   Result<Ann> ParseAnnName();
 
@@ -116,7 +128,7 @@ class DxParser {
   bool saw_budget_decl_ = false;
   /// Null literals are interned per file: `_n1` denotes the same null
   /// everywhere it appears.
-  std::map<std::string, Value> nulls_;
+  std::map<std::string, Value, std::less<>> nulls_;
 };
 
 Result<std::vector<Token>> DxParser::TakeBlockTokens(
@@ -155,7 +167,7 @@ Result<std::vector<Token>> DxParser::TakeBlockTokens(
       default:
         return Error(StrCat("unexpected token inside ", block_what));
     }
-    out.push_back(Token{kind, t.text, t.offset});
+    out.push_back(Token{kind, std::string(t.text), t.offset});
     Advance();
   }
 }
@@ -168,7 +180,7 @@ Status DxParser::ParseScenarioDecl(DxScenario* out) {
   if (Peek().kind != DxTokKind::kQuoted && Peek().kind != DxTokKind::kIdent) {
     return Error("expected a scenario name");
   }
-  out->name = Advance().text;
+  out->name = std::string(Advance().text);
   return Expect(DxTokKind::kSemicolon, "';' after scenario declaration");
 }
 
@@ -351,29 +363,37 @@ Result<Value> DxParser::ParseValue() {
     if (t.text.size() == 1) {
       return Error("a null literal needs a name after '_'");
     }
-    std::string name = Advance().text;
+    std::string_view name = Advance().text;
     auto it = nulls_.find(name);
     if (it != nulls_.end()) return it->second;
     // Label without the '_': Universe::Describe prepends it back.
-    Value null = universe_->FreshNull(name.substr(1));
-    nulls_.emplace(std::move(name), null);
+    Value null = universe_->FreshNull(std::string(name.substr(1)));
+    nulls_.emplace(name, null);
     return null;
   }
   return Error("expected a value ('const', integer, or _null)");
 }
 
-Result<ParsedFact> DxParser::ParseFact(const Schema& schema) {
-  ParsedFact fact;
-  fact.offset = Peek().offset;
-  OCDX_ASSIGN_OR_RETURN(fact.rel, ExpectIdent("a relation name"));
-  const RelationDecl* decl = schema.Find(fact.rel);
-  if (decl == nullptr) {
-    return ErrorAt(fact.offset,
-                   StrCat("relation '", fact.rel,
-                          "' is not declared in the instance's schema"));
+Status DxParser::ParseFact(const Schema& schema, DxInstanceDecl* decl,
+                           FactScratch* fact) {
+  size_t offset = Peek().offset;
+  OCDX_ASSIGN_OR_RETURN(std::string_view rel,
+                        ExpectIdentView("a relation name"));
+  if (fact->target == nullptr || rel != fact->rel) {
+    fact->rel.assign(rel);
+    fact->decl = schema.Find(fact->rel);
+    if (fact->decl == nullptr) {
+      return ErrorAt(offset,
+                     StrCat("relation '", rel,
+                            "' is not declared in the instance's schema"));
+    }
+    // Pre-declared by ParseInstanceDecl; a lookup, never an insertion.
+    fact->target = &decl->annotated_instance.GetOrCreate(
+        fact->rel, fact->decl->arity());
   }
   OCDX_RETURN_IF_ERROR(Expect(DxTokKind::kLParen, "'(' after relation name"));
-  AnnVec ann;
+  fact->values.clear();
+  fact->ann.clear();
   size_t marker_positions = 0;
   bool any_annotated = false;
   if (!Accept(DxTokKind::kRParen)) {
@@ -381,18 +401,20 @@ Result<ParsedFact> DxParser::ParseFact(const Schema& schema) {
       if (Accept(DxTokKind::kCaret)) {
         // Bare annotation: an empty-marker position.
         OCDX_ASSIGN_OR_RETURN(Ann a, ParseAnnName());
-        ann.push_back(a);
+        fact->ann.push_back(a);
         ++marker_positions;
         any_annotated = true;
       } else {
         OCDX_ASSIGN_OR_RETURN(Value v, ParseValue());
-        fact.values.push_back(v);
+        fact->values.push_back(v);
         if (Accept(DxTokKind::kCaret)) {
           OCDX_ASSIGN_OR_RETURN(Ann a, ParseAnnName());
-          ann.push_back(a);
+          fact->ann.push_back(a);
           any_annotated = true;
         } else {
-          ann.push_back(Ann::kClosed);  // Placeholder; checked below.
+          // Positions without an explicit annotation default to `cl`
+          // (matching the rule parser's default).
+          fact->ann.push_back(Ann::kClosed);
         }
       }
       if (Accept(DxTokKind::kComma)) continue;
@@ -402,22 +424,22 @@ Result<ParsedFact> DxParser::ParseFact(const Schema& schema) {
   }
   OCDX_RETURN_IF_ERROR(Expect(DxTokKind::kSemicolon, "';' after fact"));
 
-  if (marker_positions > 0 && marker_positions != ann.size()) {
-    return ErrorAt(fact.offset,
-                   StrCat("fact for '", fact.rel,
+  if (marker_positions > 0 && marker_positions != fact->ann.size()) {
+    return ErrorAt(offset,
+                   StrCat("fact for '", rel,
                           "' mixes empty-marker positions with values"));
   }
-  // Positions without an explicit annotation default to `cl` (matching
-  // the rule parser's default); the fact counts as annotated as soon as
-  // any position carries one.
-  if (any_annotated) fact.ann = std::move(ann);
-  size_t arity = marker_positions > 0 ? marker_positions : fact.values.size();
-  if (arity != decl->arity()) {
-    return ErrorAt(fact.offset,
-                   StrCat("fact for '", fact.rel, "' has arity ", arity,
-                          " but the schema declares arity ", decl->arity()));
+  size_t arity = marker_positions > 0 ? marker_positions : fact->values.size();
+  if (arity != fact->decl->arity()) {
+    return ErrorAt(offset, StrCat("fact for '", rel, "' has arity ", arity,
+                                  " but the schema declares arity ",
+                                  fact->decl->arity()));
   }
-  return fact;
+  // The instance counts as annotated as soon as any fact carries an
+  // annotation — even a fact that duplicates an earlier row.
+  if (any_annotated) decl->annotated = true;
+  fact->target->Add(AnnotatedTupleRef{fact->values, fact->ann});
+  return Status::OK();
 }
 
 Status DxParser::ParseInstanceDecl(DxScenario* out) {
@@ -436,33 +458,18 @@ Status DxParser::ParseInstanceDecl(DxScenario* out) {
   }
   OCDX_RETURN_IF_ERROR(Expect(DxTokKind::kLBrace, "'{' before instance facts"));
 
-  std::vector<ParsedFact> facts;
-  while (!Accept(DxTokKind::kRBrace)) {
-    OCDX_ASSIGN_OR_RETURN(ParsedFact fact, ParseFact(schema->schema));
-    facts.push_back(std::move(fact));
-  }
-
   DxInstanceDecl decl;
   decl.name = std::move(name);
   decl.over = std::move(over);
-  for (const ParsedFact& fact : facts) {
-    if (fact.ann.has_value()) decl.annotated = true;
-  }
   // Pre-declare every schema relation so empty relations print and chase
   // over the instance sees the full vocabulary.
   for (const RelationDecl& rd : schema->schema.decls()) {
     decl.annotated_instance.GetOrCreate(rd.name, rd.arity());
   }
-  for (const ParsedFact& fact : facts) {
-    if (fact.ann.has_value()) {
-      decl.annotated_instance.Add(
-          fact.rel, AnnotatedTupleRef{fact.values, *fact.ann});
-    } else {
-      decl.annotated_instance.Add(
-          fact.rel,
-          AnnotatedTupleRef{fact.values, AnnVec(fact.values.size(),
-                                                Ann::kClosed)});
-    }
+  // Facts stream straight into their relations as they are parsed.
+  FactScratch fact;
+  while (!Accept(DxTokKind::kRBrace)) {
+    OCDX_RETURN_IF_ERROR(ParseFact(schema->schema, &decl, &fact));
   }
   decl.plain = decl.annotated_instance.RelPart();
   out->instances.push_back(std::move(decl));
@@ -490,7 +497,7 @@ Status DxParser::ParseQueryDecl(DxScenario* out) {
     }
   }
   if (Peek().kind == DxTokKind::kQuoted) {
-    query.description = Advance().text;
+    query.description = std::string(Advance().text);
   }
   OCDX_RETURN_IF_ERROR(
       Expect(DxTokKind::kLBrace, "'{' before the query formula"));

@@ -1,13 +1,17 @@
-// Open-addressed (hash, id) table: the dedup set behind Relation::Add.
+// Open-addressed (hash, id) table: the one flat id table in ocdx.
 //
-// Replaces the node-based std::unordered_multimap<size_t, uint32_t> the
-// relations used for dedup — one heap allocation per inserted tuple — with
-// a flat power-of-two table probed linearly. Collisions on the 64-bit
-// hash are resolved by the caller-supplied equality (which compares the
-// actual tuples), so the table itself never needs to see tuple payloads.
+// Two owners use it, each storing its payloads once, densely, by id:
+//   - Relation / AnnotatedRelation (base/relation.h): the dedup set behind
+//     Add, over rows in the relation's arena;
+//   - StringInterner (util/interner.h): the string -> id map, over the
+//     interner's string vector.
+// The table is a power-of-two array of (hash, id) slots probed linearly;
+// there is no per-entry heap node. Collisions on the 64-bit hash are
+// resolved by the caller-supplied equality (which compares the actual
+// payloads), so the table itself never needs to see them.
 
-#ifndef OCDX_BASE_DEDUP_H_
-#define OCDX_BASE_DEDUP_H_
+#ifndef OCDX_UTIL_DEDUP_H_
+#define OCDX_UTIL_DEDUP_H_
 
 #include <algorithm>
 #include <cstdint>
@@ -16,13 +20,14 @@
 namespace ocdx {
 
 /// A set of uint32 ids keyed by precomputed 64-bit hashes. Ids must be
-/// dense (they index the owner's row vector); `eq(id)` decides whether a
-/// stored id's row equals the probe row.
+/// dense (they index the owner's payload vector); `eq(id)` decides whether
+/// a stored id's payload equals the probe.
 class DedupIndex {
  public:
   static constexpr uint32_t kNone = 0xffffffffu;
 
-  /// The id of a stored row with this hash for which `eq` holds, or kNone.
+  /// The id of a stored payload with this hash for which `eq` holds, or
+  /// kNone.
   template <typename Eq>
   uint32_t Find(size_t hash, Eq&& eq) const {
     if (slots_.empty()) return kNone;
@@ -35,7 +40,8 @@ class DedupIndex {
   }
 
   /// Records `id` under `hash`. The caller has already established (via
-  /// Find) that no equal row is present; duplicates of the *hash* are fine.
+  /// Find) that no equal payload is present; duplicates of the *hash* are
+  /// fine.
   void Insert(size_t hash, uint32_t id) {
     if ((used_ + 1) * 4 > slots_.size() * 3) Grow();
     InsertNoGrow(hash, id);
@@ -77,4 +83,4 @@ class DedupIndex {
 
 }  // namespace ocdx
 
-#endif  // OCDX_BASE_DEDUP_H_
+#endif  // OCDX_UTIL_DEDUP_H_

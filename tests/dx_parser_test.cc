@@ -9,6 +9,7 @@
 
 #include <gtest/gtest.h>
 
+#include "logic/parser.h"
 #include "mapping/rule_parser.h"
 #include "text/dx_parser.h"
 #include "text/dx_printer.h"
@@ -249,6 +250,169 @@ TEST(DxParserErrors, RuleErrorsInsideBlocksPointIntoTheFile) {
   // translated back into the .dx file's coordinates.
   EXPECT_NE(result.status().message().find("line 3"), std::string::npos)
       << result.status().message();
+}
+
+// --- Streamed instance facts ----------------------------------------------
+
+// A generated instance of `facts` rows `  R('c<i>', <i>);`, one per line.
+// The schema and instance header take lines 1-2, so fact i (0-based) sits
+// on line i + 3, starting at column 3. The fact at `bad_index`, if any,
+// is replaced by `bad_fact`.
+std::string GeneratedInstance(size_t facts, size_t bad_index,
+                              const std::string& bad_fact) {
+  std::string src = "schema s { R(a, b); S(a); }\ninstance I over s {\n";
+  for (size_t i = 0; i < facts; ++i) {
+    src += "  ";
+    if (i == bad_index) {
+      src += bad_fact;
+    } else {
+      src += "R('c" + std::to_string(i) + "', " + std::to_string(i) + ");";
+    }
+    src += "\n";
+  }
+  src += "}\n";
+  return src;
+}
+
+TEST(DxParserErrors, ErrorsDeepInALargeInstanceKeepTheirPositions) {
+  constexpr size_t kFacts = 20000;
+  constexpr size_t kBad = 19998;  // Line 20001.
+  const BadCase cases[] = {
+      {"undeclared", "T('x');",
+       "relation 'T' is not declared in the instance's schema at line "
+       "20001, col 3"},
+      {"arity", "R('x');",
+       "fact for 'R' has arity 1 but the schema declares arity 2 at line "
+       "20001, col 3"},
+      {"marker-mix", "R('x', ^op);",
+       "fact for 'R' mixes empty-marker positions with values at line "
+       "20001, col 3"},
+      {"syntax", "R('x' 'y');",
+       "expected ')' or ',' near 'y' at line 20001, col 9"},
+  };
+  for (const BadCase& c : cases) {
+    SCOPED_TRACE(c.name);
+    Universe u;
+    Result<DxScenario> result =
+        Parse(GeneratedInstance(kFacts, kBad, c.src), &u);
+    ASSERT_FALSE(result.ok());
+    EXPECT_EQ(result.status().code(), StatusCode::kParseError);
+    EXPECT_NE(result.status().message().find(c.expect_substring),
+              std::string::npos)
+        << result.status().message();
+  }
+  // The same instance without the bad fact parses in full.
+  Universe u;
+  Result<DxScenario> ok = Parse(GeneratedInstance(kFacts, kFacts, ""), &u);
+  ASSERT_TRUE(ok.ok()) << ok.status().ToString();
+  EXPECT_EQ(ok.value().instances[0].plain.Find("R")->size(), kFacts);
+  EXPECT_EQ(ok.value().instances[0].plain.Find("S")->size(), 0u);
+}
+
+TEST(DxParser, InterleavedFactsLandInTheirOwnRelations) {
+  Universe u;
+  Result<DxScenario> sc = Parse(R"(
+schema s { R(a); S(a, b); T(a); }
+instance I over s {
+  R('r1');
+  S('s1', 's2');
+  R('r2');
+  S('s3', 's4');
+  R('r1');
+}
+)", &u);
+  ASSERT_TRUE(sc.ok()) << sc.status().ToString();
+  const DxInstanceDecl& inst = sc.value().instances[0];
+  EXPECT_FALSE(inst.annotated);
+  const Relation* r = inst.plain.Find("R");
+  const Relation* s = inst.plain.Find("S");
+  const Relation* t = inst.plain.Find("T");
+  ASSERT_NE(r, nullptr);
+  ASSERT_NE(s, nullptr);
+  ASSERT_NE(t, nullptr);  // Declared, never mentioned: present and empty.
+  EXPECT_EQ(r->size(), 2u);
+  EXPECT_TRUE(r->Contains({u.FindConst("r1")}));
+  EXPECT_TRUE(r->Contains({u.FindConst("r2")}));
+  EXPECT_EQ(s->size(), 2u);
+  EXPECT_TRUE(s->Contains({u.FindConst("s1"), u.FindConst("s2")}));
+  EXPECT_TRUE(s->Contains({u.FindConst("s3"), u.FindConst("s4")}));
+  EXPECT_EQ(t->size(), 0u);
+  // Constants are interned in first-sight order.
+  EXPECT_EQ(u.FindConst("r1").id() + 1, u.FindConst("s1").id());
+  EXPECT_EQ(u.FindConst("s2").id() + 1, u.FindConst("r2").id());
+}
+
+TEST(DxParser, AnAnnotatedDuplicateStillMarksTheInstanceAnnotated) {
+  Universe u;
+  Result<DxScenario> sc = Parse(R"(
+schema s { R(a); }
+instance I over s { R('a'); R('a'^cl); }
+)", &u);
+  ASSERT_TRUE(sc.ok()) << sc.status().ToString();
+  const DxInstanceDecl& inst = sc.value().instances[0];
+  // `cl` is the default annotation, so the second fact is the same row...
+  EXPECT_EQ(inst.annotated_instance.Find("R")->size(), 1u);
+  EXPECT_EQ(inst.plain.Find("R")->size(), 1u);
+  // ...but it carried an explicit annotation.
+  EXPECT_TRUE(inst.annotated);
+}
+
+// --- Formula nesting cap ------------------------------------------------------
+
+// A query whose formula `<prefix>true<suffix>` starts at line 3, col 1.
+std::string NestedQuery(const std::string& prefix, const std::string& suffix) {
+  return "schema s { R(a); }\nquery q() {\n" + prefix + "true" + suffix +
+         "\n}\n";
+}
+
+TEST(DxParserErrors, NestingIsCappedWithAPositionedError) {
+  const size_t cap = FormulaParser::kMaxNestingDepth;
+  // The formula itself is level 1; each '!' or '(' opens one more.
+  {
+    Universe u;
+    Result<DxScenario> ok = Parse(NestedQuery(std::string(cap - 1, '!'), ""),
+                                  &u);
+    EXPECT_TRUE(ok.ok()) << ok.status().ToString();
+  }
+  {
+    Universe u;
+    Result<DxScenario> deep =
+        Parse(NestedQuery(std::string(cap, '!'), ""), &u);
+    ASSERT_FALSE(deep.ok());
+    EXPECT_EQ(deep.status().code(), StatusCode::kParseError);
+    // The cap-th '!' (col cap, line 3) is one level too many.
+    EXPECT_NE(deep.status().message().find(
+                  "formula nested deeper than " + std::to_string(cap) +
+                  " levels at line 3, col " + std::to_string(cap) +
+                  " near '!'"),
+              std::string::npos)
+        << deep.status().message();
+  }
+  // Far past the cap (this used to overflow the stack): negations,
+  // parentheses, and function terms in a mapping rule.
+  const std::string bang(300000, '!');
+  const std::string open(300000, '('), close(300000, ')');
+  std::string func;
+  for (int i = 0; i < 100000; ++i) func += "f(";
+  func += "x" + std::string(100000, ')');
+  const std::string inputs[] = {
+      NestedQuery(bang, ""),
+      NestedQuery(open, close),
+      "schema s { R(a); }\nschema t { T(a); }\n"
+      "mapping M from s to t [skolem] {\n  T(" +
+          func + ") :- R(x);\n}\n",
+  };
+  for (const std::string& src : inputs) {
+    Universe u;
+    Result<DxScenario> result = Parse(src, &u);
+    ASSERT_FALSE(result.ok());
+    EXPECT_EQ(result.status().code(), StatusCode::kParseError);
+    EXPECT_NE(result.status().message().find("nested deeper than"),
+              std::string::npos)
+        << result.status().message();
+    EXPECT_NE(result.status().message().find(", col "), std::string::npos)
+        << result.status().message();
+  }
 }
 
 // --- rule_parser error paths (direct API) -----------------------------------

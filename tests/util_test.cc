@@ -3,6 +3,8 @@
 #include <gtest/gtest.h>
 
 #include <set>
+#include <string>
+#include <string_view>
 #include <vector>
 
 #include "util/combinatorics.h"
@@ -60,6 +62,54 @@ TEST(InternerTest, StableIds) {
   EXPECT_EQ(in.Get(b), "beta");
   EXPECT_EQ(in.Find("gamma"), UINT32_MAX);
   EXPECT_EQ(in.size(), 2u);
+}
+
+TEST(InternerTest, IdsAreDenseInFirstSightOrderAcrossTableGrowth) {
+  // 120k distinct strings force many table growths; every second intern
+  // re-sights an earlier string, which must keep its id.
+  constexpr uint32_t kDistinct = 120000;
+  StringInterner in;
+  for (uint32_t i = 0; i < kDistinct; ++i) {
+    ASSERT_EQ(in.Intern("s" + std::to_string(i)), i);
+    uint32_t earlier = (i * 7919u) % (i + 1);
+    ASSERT_EQ(in.Intern("s" + std::to_string(earlier)), earlier);
+  }
+  EXPECT_EQ(in.size(), kDistinct);
+  for (uint32_t i = 0; i < kDistinct; i += 997) {
+    EXPECT_EQ(in.Get(i), "s" + std::to_string(i));
+    EXPECT_EQ(in.Find("s" + std::to_string(i)), i);
+  }
+  EXPECT_EQ(in.Find("s" + std::to_string(kDistinct)), UINT32_MAX);
+}
+
+TEST(InternerTest, FindOnAnEmptyInterner) {
+  const StringInterner in;
+  EXPECT_EQ(in.Find("anything"), UINT32_MAX);
+  EXPECT_EQ(in.Find(""), UINT32_MAX);
+  EXPECT_FALSE(in.Contains("anything"));
+  EXPECT_EQ(in.size(), 0u);
+}
+
+TEST(InternerTest, TheEmptyStringInterns) {
+  StringInterner in;
+  EXPECT_EQ(in.Intern(""), 0u);
+  EXPECT_EQ(in.Intern("x"), 1u);
+  EXPECT_EQ(in.Intern(""), 0u);
+  EXPECT_EQ(in.Find(""), 0u);
+  EXPECT_EQ(in.Get(0), "");
+}
+
+TEST(InternerTest, InterningFromATemporaryBufferCopiesTheBytes) {
+  StringInterner in;
+  uint32_t id;
+  {
+    std::string buffer = "constant";
+    id = in.Intern(std::string_view(buffer).substr(0, 5));  // "const"
+    buffer.assign(buffer.size(), 'x');                         // scribble
+  }
+  EXPECT_EQ(in.Get(id), "const");
+  EXPECT_EQ(in.Find("const"), id);
+  EXPECT_EQ(in.Find("xxxxx"), UINT32_MAX);
 }
 
 TEST(PartitionEnumeratorTest, CountsAreBellNumbers) {

@@ -41,6 +41,12 @@
 //              "err <message>\n"
 //   "quit" (or EOF) ends the session.
 //
+//   A request line may hold at most 64 KiB (kMaxRequestLine) before its
+//   newline. A longer line is read to its end and discarded — only the
+//   first 64 KiB are ever buffered — and answered
+//   "err request line too long"; the session continues with the next
+//   line.
+//
 // Shutdown: SIGTERM (and SIGINT) drain gracefully — the in-flight
 // request observes the cancellation flag through its budget and returns
 // a governed response, then the server exits 0 without reading further
@@ -78,7 +84,14 @@ constexpr char kUsage[] =
     "usage: ocdxd serve [--engine=indexed|naive|generic]\n"
     "                   [--chase-max-triggers=N] [--max-members=N]\n"
     "                   [--deadline-ms=N] [--shards=N]\n"
-    "                   [--preload=SNAP.snap ...]\n";
+    "                   [--preload=SNAP.snap ...]\n"
+    "requests are read one per line from stdin; a line longer than\n"
+    "64 KiB is answered 'err request line too long'\n";
+
+// Request-size cap: the longest request line (without its newline) the
+// server buffers. No request is anywhere near it — a command, a path and
+// a few key=value fields — so it only bounds hostile or broken input.
+constexpr size_t kMaxRequestLine = 64 * 1024;
 
 // Two shutdown flags: the sig_atomic_t is the only thing a handler may
 // portably touch and gates the accept loop; the atomic<bool> is what the
@@ -125,6 +138,27 @@ bool ParseShards(const std::string& text, size_t* out) {
   if (!ParseU64(text, &value) || value < 1 || value > 64) return false;
   *out = static_cast<size_t>(value);
   return true;
+}
+
+// Reads one request line into `*line`, buffering at most kMaxRequestLine
+// bytes: the rest of a longer line is consumed and dropped, and
+// `*too_long` is set. Returns false at end of input with nothing read —
+// including a read interrupted by SIGTERM/SIGINT (see the handler below).
+bool ReadRequestLine(std::streambuf* in, std::string* line, bool* too_long) {
+  line->clear();
+  *too_long = false;
+  bool any = false;
+  for (int c = in->sbumpc(); c != std::char_traits<char>::eof();
+       c = in->sbumpc()) {
+    any = true;
+    if (c == '\n') return true;
+    if (line->size() < kMaxRequestLine) {
+      line->push_back(static_cast<char>(c));
+    } else {
+      *too_long = true;
+    }
+  }
+  return any;
 }
 
 }  // namespace
@@ -249,8 +283,8 @@ int main(int argc, char** argv) {
     preloaded.push_back(std::move(entry));
   }
 
-  // Graceful drain on SIGTERM/SIGINT: no SA_RESTART, so a read blocked in
-  // getline returns with EINTR and the loop condition sees g_stop.
+  // Graceful drain on SIGTERM/SIGINT: no SA_RESTART, so a blocked read
+  // returns with EINTR and the loop condition sees g_stop.
   struct sigaction sa = {};
   sa.sa_handler = OnTerm;
   sigemptyset(&sa.sa_mask);
@@ -263,8 +297,14 @@ int main(int argc, char** argv) {
   obs::StatsRegistry registry;
 
   std::string line;
-  while (!g_stop && std::getline(std::cin, line)) {
+  bool too_long = false;
+  while (!g_stop && ReadRequestLine(std::cin.rdbuf(), &line, &too_long)) {
     if (g_stop) break;
+    if (too_long) {
+      std::fputs("err request line too long\n", stdout);
+      std::fflush(stdout);
+      continue;
+    }
     if (line == "quit") break;
     if (line.empty()) continue;
     if (line == "stats") {
