@@ -15,7 +15,7 @@ namespace ocdx {
 namespace {
 
 void RunChaseConference(benchmark::State& state, JoinEngineMode mode) {
-  // Production configuration: a job-scoped plan cache carried across
+  // Production configuration: a job-scoped plan table carried across
   // iterations, as the driver/CLI attach per command run (the uncached
   // path is CI's OCDX_PLAN_CACHE=off job).
   const EngineContext ctx = EngineContext::CachedForMode(mode);
@@ -58,7 +58,7 @@ void BM_ChaseConferenceNaive(benchmark::State& state) {
 BENCHMARK(BM_ChaseConferenceNaive)->Arg(1000)->Unit(benchmark::kMillisecond);
 
 void RunChaseCopy(benchmark::State& state, JoinEngineMode mode) {
-  // Production configuration: a job-scoped plan cache carried across
+  // Production configuration: a job-scoped plan table carried across
   // iterations, as the driver/CLI attach per command run (the uncached
   // path is CI's OCDX_PLAN_CACHE=off job).
   const EngineContext ctx = EngineContext::CachedForMode(mode);
@@ -100,7 +100,7 @@ BENCHMARK(BM_ChaseCopyNaive)->Arg(1000)->Unit(benchmark::kMillisecond);
 // Chase with an FO body (negation): the third conference rule needs a
 // subquery per paper.
 void RunChaseNegatedBody(benchmark::State& state, JoinEngineMode mode) {
-  // Production configuration: a job-scoped plan cache carried across
+  // Production configuration: a job-scoped plan table carried across
   // iterations, as the driver/CLI attach per command run (the uncached
   // path is CI's OCDX_PLAN_CACHE=off job).
   const EngineContext ctx = EngineContext::CachedForMode(mode);

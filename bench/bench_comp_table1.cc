@@ -29,7 +29,7 @@ void BM_Table1ClosedSigma(benchmark::State& state) {
   Result<ColoringReduction> red = BuildColoringReduction(g, &u);
   uint64_t intermediates = 0;
   bool member = false;
-  // Production configuration: a job-scoped plan cache carried across
+  // Production configuration: a job-scoped plan table carried across
   // iterations (the driver/CLI attach one per command run).
   const EngineContext ctx =
       EngineContext::CachedForMode(JoinEngineMode::kIndexed);
@@ -58,7 +58,7 @@ void BM_Table1ClosedSigmaReject(benchmark::State& state) {
   Result<ColoringReduction> red =
       BuildColoringReduction(CompleteGraph(n), &u);
   uint64_t intermediates = 0;
-  // Production configuration: a job-scoped plan cache carried across
+  // Production configuration: a job-scoped plan table carried across
   // iterations (the driver/CLI attach one per command run).
   const EngineContext ctx =
       EngineContext::CachedForMode(JoinEngineMode::kIndexed);
@@ -100,7 +100,7 @@ void BM_Table1MonotoneOpenDelta(benchmark::State& state) {
   }
   w.Add("P", {u.IntConst(0), u.IntConst(0)});
   uint64_t intermediates = 0;
-  // Production configuration: a job-scoped plan cache carried across
+  // Production configuration: a job-scoped plan table carried across
   // iterations (the driver/CLI attach one per command run).
   const EngineContext ctx =
       EngineContext::CachedForMode(JoinEngineMode::kIndexed);
@@ -143,7 +143,7 @@ void BM_Table1OpenOneGeneral(benchmark::State& state) {
   opts.enum_options.max_universe = 16;
   uint64_t intermediates = 0;
   bool member = false;
-  // Production configuration: a job-scoped plan cache carried across
+  // Production configuration: a job-scoped plan table carried across
   // iterations (the driver/CLI attach one per command run).
   const EngineContext ctx =
       EngineContext::CachedForMode(JoinEngineMode::kIndexed);

@@ -5,7 +5,7 @@
 //                      largest corpus scenario (a view; nothing copied)
 //   BM_WarmRequest_*   one warm `ocdxd --preload` request against a
 //                      snapshot bundle of the largest corpus scenario,
-//                      shared plan table attached — the steady-state
+//                      the bundle's plan table lent — the steady-state
 //                      serving cost
 //
 // The largest corpus scenario is tests/corpus/bulk_import.dx (~24k
@@ -23,7 +23,6 @@
 #include <vector>
 
 #include "base/value.h"
-#include "plan/plan_cache.h"
 #include "plan/shared_plan_table.h"
 #include "snap/snapshot.h"
 #include "text/dx_parser.h"
@@ -114,7 +113,9 @@ void BM_WarmRequest_BulkImport(benchmark::State& state) {
   }
   plan::SharedPlanTable plans;
   DxDriverOptions options;
-  if (plan::PlanCache::EnabledByEnv()) options.engine.shared_plans = &plans;
+  if (plan::SharedPlanTable::EnabledByEnv()) {
+    options.engine.shared_plans = &plans;
+  }
   EngineStats stats;
   options.engine.stats = &stats;
   for (auto _ : state) {

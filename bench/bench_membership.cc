@@ -19,7 +19,7 @@ namespace {
 
 void RunMembership(benchmark::State& state, bool all_open, bool want_match,
                    JoinEngineMode mode = JoinEngineMode::kIndexed) {
-  // Production configuration: a job-scoped plan cache carried across
+  // Production configuration: a job-scoped plan table carried across
   // iterations, as the driver/CLI attach per command run (the uncached
   // path is CI's OCDX_PLAN_CACHE=off job).
   const EngineContext ctx = EngineContext::CachedForMode(mode);

@@ -28,7 +28,7 @@ void RunProp6(benchmark::State& state, bool positive_case) {
   }
   bool member = false;
   uint64_t intermediates = 0;
-  // Production configuration: a job-scoped plan cache across iterations.
+  // Production configuration: a job-scoped plan table across iterations.
   const EngineContext ctx =
       EngineContext::CachedForMode(JoinEngineMode::kIndexed);
   for (auto _ : state) {

@@ -37,7 +37,7 @@ void RunLattice(benchmark::State& state, const char* rules,
     t.Add("R", {u.IntConst(0), u.Const("w")});
   }
   bool member = false;
-  // Production configuration: a job-scoped plan cache, as the driver/CLI
+  // Production configuration: a job-scoped plan table, as the driver/CLI
   // attach per command run (the uncached path is CI's OCDX_PLAN_CACHE=off).
   const EngineContext ctx = EngineContext::CachedForMode(JoinEngineMode::kIndexed);
   for (auto _ : state) {

@@ -74,7 +74,7 @@ void BM_SkolemizeAndMembership(benchmark::State& state) {
     t.Add("R", {u.IntConst(static_cast<int64_t>(i)), u.Const("v")});
   }
   bool member = false;
-  // Production configuration: a job-scoped plan cache (see bench README
+  // Production configuration: a job-scoped plan table (see bench README
   // note in bench_semantics_lattice.cc).
   const EngineContext ctx = EngineContext::CachedForMode(JoinEngineMode::kIndexed);
   for (auto _ : state) {

@@ -57,7 +57,7 @@ for bin in "$BUILD_DIR"/bench_*; do
 done
 
 # One instrumented corpus sweep alongside the microbenchmarks: the final
-# EngineStats aggregate (plan cache traffic, shard fan-out, phase ns) is
+# EngineStats aggregate (plan table traffic, shard fan-out, phase ns) is
 # embedded into BENCH_<tag>.json so counter drift is tracked PR over PR
 # with the timings. Exit 3 = governed corpus files (cyclic_chase trips
 # its chase budget by design) — the stats are still complete.

@@ -71,10 +71,11 @@ size_t LeadingForallCount(const FormulaPtr& q) {
 Result<CertainAnswerEngine> CertainAnswerEngine::Create(
     const Mapping& mapping, const Instance& source, Universe* universe,
     const EngineContext& ctx) {
-  // The engine's private context carries a plan cache (unless the caller
-  // already attached one, or OCDX_PLAN_CACHE=off): the member-enumeration
-  // loops below evaluate each query over thousands of member instances,
-  // and the cache is what makes that O(queries) compilations instead of
+  // The engine's private context carries a plan table (unless the caller
+  // already attached or lent one, or OCDX_PLAN_CACHE=off): the member-
+  // enumeration loops below evaluate each query over thousands of member
+  // instances, sequentially or across shards that share the table, and
+  // the table is what makes that O(queries) compilations instead of
   // O(members x queries).
   EngineContext engine_ctx = ctx;
   engine_ctx.EnsureCache();
@@ -86,8 +87,8 @@ Result<CertainAnswerEngine> CertainAnswerEngine::Create(
 CertainAnswerEngine CertainAnswerEngine::FromCanonical(
     const Mapping& mapping, CanonicalSolution csol, Universe* universe,
     const EngineContext& ctx) {
-  // Same cache policy as Create: member enumeration re-evaluates each
-  // query per member, so the engine wants a plan cache regardless of how
+  // Same table policy as Create: member enumeration re-evaluates each
+  // query per member, so the engine wants a plan table regardless of how
   // the canonical solution was obtained.
   EngineContext engine_ctx = ctx;
   engine_ctx.EnsureCache();

@@ -7,8 +7,6 @@
 #include "exec/pool.h"
 #include "logic/engine_context.h"
 #include "obs/trace.h"
-#include "plan/plan_cache.h"
-#include "plan/shared_plan_table.h"
 #include "util/combinatorics.h"
 #include "util/fault.h"
 #include "util/str.h"
@@ -306,8 +304,8 @@ Status RepAMemberEnumerator::RunSharded(size_t shards,
 
   if (shards == 1) {
     // Sequential: the shard *is* the caller's job — same universe, same
-    // context (budget cancel stays the caller's flag, the engine-level
-    // plan cache keeps serving every query of the job).
+    // context (budget cancel stays the caller's flag, the caller's plan
+    // table keeps serving every query of the job).
     MemberShard shard{0, 1, universe_, ctx_};
     ShardMemberFn fn = factory(shard);
     RunShard(shard, fn, &stop, &total_members, &outcomes[0]);
@@ -317,11 +315,11 @@ Status RepAMemberEnumerator::RunSharded(size_t shards,
     // which runs on the calling thread) mints through its own private
     // overlay, so nothing is copied. Overlay ids continue the base's id
     // spaces, so canonical output is unchanged bit for bit.
-    // Compiled plans are shared through one thread-safe SharedPlanTable
-    // (seeded from / exported back to the caller's per-job cache), so a
-    // fan-out compiles each query exactly once instead of once per
-    // shard. Contexts and visitors are fully built (factory called
-    // serially, in shard order) before any worker starts.
+    // Every shard context is a copy of the caller's, so all shards share
+    // the caller's thread-safe plan table: a query compiles once per job,
+    // not once per shard or per fan-out. Contexts and visitors are fully
+    // built (factory called serially, in shard order) before any worker
+    // starts.
     std::vector<std::unique_ptr<Universe>> overlays;
     std::vector<EngineContext> shard_ctxs(shards);
     std::vector<EngineStats> shard_stats(shards);
@@ -333,23 +331,10 @@ Status RepAMemberEnumerator::RunSharded(size_t shards,
     std::vector<MemberShard> shard_descs(shards);
     std::vector<ShardMemberFn> fns;
     fns.reserve(shards);
-    const EngineContext base_ctx =
-        ctx_ != nullptr ? *ctx_ : EngineContext();
-
-    // The shard plan table: the job's own (ocdxd preload serving hands
-    // one down) or a fan-out-local one. Seeding from the caller's cache
-    // keeps repeated fan-outs of one job compile-once — certain-answer
-    // checks run one fan-out per candidate tuple.
-    std::unique_ptr<plan::SharedPlanTable> local_table;
-    plan::SharedPlanTable* table = base_ctx.shared_plans;
-    if (table == nullptr && !base_ctx.plan_cache_opt_out &&
-        plan::PlanCache::EnabledByEnv()) {
-      local_table = std::make_unique<plan::SharedPlanTable>();
-      if (base_ctx.plan_cache != nullptr) {
-        local_table->SeedFromCache(*base_ctx.plan_cache);
-      }
-      table = local_table.get();
-    }
+    // A caller without a plan table gets one for this fan-out, so its
+    // shards still compile each query once.
+    EngineContext base_ctx = ctx_ != nullptr ? *ctx_ : EngineContext();
+    base_ctx.EnsureCache();
 
     {
       obs::ScopedSpan setup_span(ctx_ != nullptr ? ctx_->stats : nullptr,
@@ -359,12 +344,6 @@ Status RepAMemberEnumerator::RunSharded(size_t shards,
       for (size_t s = 0; s < shards; ++s) {
         overlays.push_back(universe_->NewOverlay());
         shard_ctxs[s] = base_ctx;
-        // The shared table replaces per-shard caches on this path: the
-        // caller's unsynchronized cache must not be touched from worker
-        // threads, and a fresh cache per shard would compile every query
-        // once per shard.
-        shard_ctxs[s].plan_cache = nullptr;
-        shard_ctxs[s].shared_plans = table;
         shard_ctxs[s].stats = &shard_stats[s];
         shard_ctxs[s].budget.cancel = &stop;
         shard_ctxs[s].shards = 1;  // Fan-out never nests.
@@ -392,12 +371,6 @@ Status RepAMemberEnumerator::RunSharded(size_t shards,
       }
       RunShard(shard_descs[0], fns[0], &stop, &total_members, &outcomes[0]);
     }  // <- pool drained: every shard finished, results visible here.
-    // Give plans compiled during this fan-out back to the caller's
-    // per-job cache (counter-free), so the next fan-out — or the job's
-    // own sequential evaluations — need not recompile them.
-    if (local_table != nullptr && base_ctx.plan_cache != nullptr) {
-      local_table->ExportTo(base_ctx.plan_cache.get());
-    }
     if (ctx_ != nullptr && ctx_->trace != nullptr) {
       for (size_t s = 1; s < shards; ++s) {
         if (shard_sinks[s] != nullptr) ctx_->trace->Absorb(*shard_sinks[s]);

@@ -30,9 +30,9 @@
 // through its own copy-on-write overlay of the caller's Universe
 // (Universe::NewOverlay — nothing is copied; overlay ids continue the
 // base's id spaces, and the caller's Universe is read-only while the
-// overlays live), compiled plans are shared through one thread-safe
-// plan::SharedPlanTable (compile-once per fan-out), and the shard
-// contexts'
+// overlays live), every shard context copies the caller's and so shares
+// its thread-safe plan table (plan::SharedPlanTable: compile-once per
+// job, whatever the shard count), and the shard contexts'
 // Budget::cancel points at a per-fan-out stop flag, so the first shard
 // that stops the run (counterexample found, intersection emptied, budget
 // trip) cooperatively cancels the NP searches still running in the
@@ -100,9 +100,9 @@ enum class EnumOutcome {
 /// factory. `universe` and `ctx` are what the shard's visitor must
 /// evaluate against: at shard count 1 they are the enumerator's own
 /// universe/context; under fan-out they are a private copy-on-write
-/// overlay of the read-shared caller universe and a per-shard context
-/// (no private plan cache — plans come from the fan-out's shared table)
-/// whose Budget::cancel is the fan-out's shared stop flag.
+/// overlay of the read-shared caller universe and a per-shard copy of
+/// the caller's context (sharing its thread-safe plan table) whose
+/// Budget::cancel is the fan-out's shared stop flag.
 struct MemberShard {
   size_t index = 0;
   size_t count = 1;

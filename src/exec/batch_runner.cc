@@ -7,6 +7,7 @@
 #include <sstream>
 
 #include "exec/pool.h"
+#include "obs/report.h"
 #include "text/dx_parser.h"
 #include "util/stopwatch.h"
 #include "util/str.h"
@@ -95,7 +96,7 @@ std::vector<BatchJobResult> RunFile(const std::string& path,
     }
     if (!scenario->ok()) return fail(scenario->status());
 
-    // One plan cache for the file: its jobs run in sequence on this
+    // One plan table for the file: its jobs run in sequence on this
     // thread, so later jobs reuse the plans earlier ones compiled.
     DxDriverOptions file_options = options.driver;
     file_options.engine = options.engine;
@@ -258,12 +259,9 @@ std::string RenderBatchSummary(const BatchReport& report,
                 ", cache_misses=", report.stats.plan_cache_misses,
                 ", guard_depth_fallbacks=",
                 report.stats.guard_depth_fallbacks, "\n");
-  const uint64_t lookups =
-      report.stats.plan_cache_hits + report.stats.plan_cache_misses;
-  if (lookups > 0) {
+  if (std::optional<double> rate = obs::PlanHitRate(report.stats)) {
     std::snprintf(buf, sizeof(buf), "batch: plan cache hit rate: %.1f%%\n",
-                  100.0 * static_cast<double>(report.stats.plan_cache_hits) /
-                      static_cast<double>(lookups));
+                  100.0 * *rate);
     out += buf;
   } else {
     out += "batch: plan cache hit rate: n/a (no lookups)\n";

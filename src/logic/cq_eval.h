@@ -13,11 +13,11 @@
 // plan::CompileQuery produces the immutable, schema-level CompiledQuery
 // (slot frames, ordered atom steps, equality/guard schedules) and
 // plan::BindQuery rebinds it per instance. When `ctx` carries a plan
-// cache (EngineContext::plan_cache) the compile happens once per
-// (formula, schema fingerprint, engine mode) — the member-enumeration
-// loops call these thousands of times per query and pay for compilation
-// exactly once. Without a cache every call compiles privately, the
-// pre-PR 5 behavior.
+// table (EngineContext::plan_cache, or a lent shared_plans) the compile
+// happens once per (formula, schema fingerprint, engine mode) — the
+// member-enumeration loops call these thousands of times per query and
+// pay for compilation exactly once. Without a table every call compiles
+// privately.
 //
 // TryEvalCQNaive preserves the original string-keyed nested-loop-scan
 // implementation; it is the reference baseline for parity tests and

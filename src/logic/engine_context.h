@@ -8,19 +8,21 @@
 //   - default step budgets for the NP search engines (homomorphism and
 //     RepA backtracking), applied as a *cap* on per-call options,
 //   - an optional per-job statistics sink, and
-//   - an optional per-job *plan cache* (src/plan): compiled query plans
-//     keyed by (formula identity, schema fingerprint, engine mode), so
-//     enumeration workloads — which evaluate one query over thousands of
-//     member instances — compile each query exactly once and rebind the
-//     immutable plan per instance.
+//   - an optional *plan table* (plan::SharedPlanTable): compiled query
+//     plans keyed by (formula identity, schema fingerprint, engine mode),
+//     so enumeration workloads — which evaluate one query over thousands
+//     of member instances — compile each query exactly once and rebind
+//     the immutable plan per instance.
 //
 // Contexts are small values: copy them freely, one per job. Copies of a
-// context *share* its plan cache (that is the point: every evaluation a
-// job performs sees the same cache). The batch executor (src/exec) gives
-// every file its own cache and every job its own context and overlay of
-// the file's parsed Universe, and runs a file's jobs on one thread —
-// nothing in the engine synchronizes, it simply never shares mutable
-// state across threads (see README.md "Concurrency model").
+// context *share* its plan table (that is the point: every evaluation a
+// job performs sees the same table, shard fan-out included — the table
+// is thread-safe). The batch executor (src/exec) gives every file its
+// own table and every job its own context and overlay of the file's
+// parsed Universe, and runs a file's jobs on one thread. Apart from the
+// plan table, nothing a job touches synchronizes; the engine simply never
+// shares mutable state across threads (see README.md "Concurrency
+// model").
 
 #ifndef OCDX_LOGIC_ENGINE_CONTEXT_H_
 #define OCDX_LOGIC_ENGINE_CONTEXT_H_
@@ -34,7 +36,6 @@
 namespace ocdx {
 
 namespace plan {
-class PlanCache;
 class SharedPlanTable;
 }  // namespace plan
 
@@ -60,8 +61,11 @@ struct EngineStats {
   uint64_t hom_steps = 0;       ///< Homomorphism-search work units.
   uint64_t repa_steps = 0;      ///< RepA-search work units.
   uint64_t plan_compiles = 0;   ///< CompiledQuery constructions (src/plan).
-  uint64_t plan_cache_hits = 0;    ///< Plan-cache lookups served.
-  uint64_t plan_cache_misses = 0;  ///< Plan-cache lookups that compiled.
+  /// Lookups on the context's own plan table (EngineContext::plan_cache)
+  /// served from a published plan.
+  uint64_t plan_cache_hits = 0;
+  /// Lookups on the context's own plan table that compiled.
+  uint64_t plan_cache_misses = 0;
   /// Formulas whose CQ recognition failed *because* a negated guard body
   /// itself contains a negation (the one-level guard limit); these fall
   /// back to the generic evaluator.
@@ -87,11 +91,12 @@ struct EngineStats {
   /// Copy-on-write overlays minted (Universe::NewOverlay) — one per
   /// shard, snapshot run or batch job.
   uint64_t overlay_mints = 0;
-  /// Shared-plan-table probes served from a published compiled plan
-  /// (plan::SharedPlanTable) — compile-once across shards/requests.
+  /// Lookups on a lent plan table (EngineContext::shared_plans, a
+  /// snapshot bundle's) served from a published plan — compile-once
+  /// across requests.
   uint64_t shared_plan_hits = 0;
-  /// Shared-plan-table probes that had to compile (first sight of a
-  /// query for this table's lifetime).
+  /// Lookups on a lent plan table that compiled (first sight of a query
+  /// for that table's lifetime).
   uint64_t shared_plan_misses = 0;
 
   // Phase timers (monotonic-clock ns, accumulated by obs::ScopedSpan).
@@ -159,8 +164,8 @@ static_assert(sizeof(EngineStats) == EngineStats::kU64Fields * sizeof(uint64_t),
               "tests/obs_test.cc) and the src/obs/report.cc field table");
 
 /// All engine configuration for one job. Value type; default-constructed
-/// means "indexed engine, paper-default budgets, no stats, no cache"
-/// (plans are then compiled per call, the pre-PR 5 behavior).
+/// means "indexed engine, paper-default budgets, no stats, no plan
+/// table" (plans are then compiled per call).
 struct EngineContext {
   /// The paper-default NP-search budget (matches the historical
   /// HomOptions / RepAOptions defaults). Kept as an alias of the Budget
@@ -181,29 +186,28 @@ struct EngineContext {
   /// across threads — shard fan-out (certain/member_enum.cc) gives each
   /// worker shard its own sink and absorbs them in shard order.
   obs::TraceSink* trace = nullptr;
-  /// Optional compiled-plan cache (see src/plan/plan_cache.h). Shared by
-  /// every copy of this context; unsynchronized, so it must be used by
-  /// one thread at a time — the batch runner gives each file its own,
-  /// and shard fan-out swaps it for `shared_plans`.
-  std::shared_ptr<plan::PlanCache> plan_cache;
+  /// The context's own plan table (src/plan/shared_plan_table.h),
+  /// attached by EnsureCache. Shared by every copy of this context,
+  /// including the shard contexts of a fan-out; the table is thread-safe.
+  /// Lookups on it count plan_cache_hits / plan_cache_misses.
+  std::shared_ptr<plan::SharedPlanTable> plan_cache;
   /// When true, EnsureCache attaches nothing and every call compiles
   /// privately. Used by the parity tests' cache-off leg; the
   /// OCDX_PLAN_CACHE=off environment variable has the same effect
   /// process-wide.
   bool plan_cache_opt_out = false;
-  /// Optional *shared, thread-safe* compiled-plan table
-  /// (plan::SharedPlanTable): plans compiled once against a shared base
-  /// and probed lock-free by every shard of a fan-out or every request of
-  /// a preloaded server snapshot. Not owned; the table must outlive every
-  /// context that points at it. Consulted by plan::GetOrCompile after the
-  /// private `plan_cache` misses — the private cache stays the first-level
-  /// lookup so per-job counter semantics are unchanged.
+  /// A lent plan table that outlives this run: a snapshot bundle's, so
+  /// every `ocdxd --preload` request (and every `ocdx snapshot run`) on
+  /// that bundle compiles each query once. Not owned; the table must
+  /// outlive every context that points at it. When set,
+  /// plan::GetOrCompile consults it instead of `plan_cache`, and lookups
+  /// count shared_plan_hits / shared_plan_misses.
   plan::SharedPlanTable* shared_plans = nullptr;
   /// Intra-job fan-out width for the exponential member-enumeration loops
   /// (certain/member_enum.h): >1 shards each ForEachMember run across a
   /// scoped worker pool, one copy-on-write Universe overlay per shard
-  /// over the caller's universe (read-only while they live) plus a shared
-  /// compiled-plan table, with deterministic shard-ordered merge —
+  /// over the caller's universe (read-only while they live), all sharing
+  /// the caller's plan table, with deterministic shard-ordered merge —
   /// canonical output is byte-identical for every value. 1 (the default,
   /// and any 0) keeps the sequential path. Shard workers run with
   /// shards = 1, so fan-out never nests.
@@ -217,14 +221,15 @@ struct EngineContext {
     return ctx;
   }
 
-  /// Attaches a fresh plan cache if none is present (no-op when the
-  /// OCDX_PLAN_CACHE=off escape hatch disables caching). Returns *this.
-  /// Engine entry points that evaluate one query over many instances
-  /// call this on their private context copy, so callers get compile-
-  /// once behavior without opting in.
+  /// Attaches a fresh plan table as `plan_cache` if the context has
+  /// neither an owned nor a lent one (no-op under `plan_cache_opt_out`
+  /// or OCDX_PLAN_CACHE=off). Returns *this. Engine entry points that
+  /// evaluate one query over many instances call this on their private
+  /// context copy, so callers get compile-once behavior without opting
+  /// in.
   EngineContext& EnsureCache();
 
-  /// A context for `m` with a fresh plan cache attached (EnsureCache).
+  /// A context for `m` with a fresh plan table attached (EnsureCache).
   static EngineContext CachedForMode(JoinEngineMode m) {
     EngineContext ctx = ForMode(m);
     ctx.EnsureCache();

@@ -5,8 +5,8 @@
 #include <set>
 
 #include "logic/budget.h"
-#include "plan/plan_cache.h"
 #include "plan/runner.h"
+#include "plan/shared_plan_table.h"
 #include "util/fault.h"
 #include "util/str.h"
 
@@ -14,10 +14,9 @@ namespace ocdx {
 
 // The evaluator is a dispatcher over the src/plan subsystem: it obtains
 // a CompiledQuery for (formula, schema, engine mode) — through the
-// context's plan cache when one is attached, else by compiling privately
-// — binds it to this instance, and runs the matching plan form. The
-// PR 2-era thread-local compiled-sentence cache that lived here is
-// subsumed by plan::PlanCache.
+// context's plan table when one is attached, else by compiling privately
+// (plan::GetOrCompile) — binds it to this instance, and runs the
+// matching plan form.
 
 namespace {
 

@@ -84,5 +84,13 @@ std::string RenderStatsJson(const EngineStats& stats) {
   return out;
 }
 
+std::optional<double> PlanHitRate(const EngineStats& stats) {
+  const uint64_t hits = stats.plan_cache_hits + stats.shared_plan_hits;
+  const uint64_t lookups =
+      hits + stats.plan_cache_misses + stats.shared_plan_misses;
+  if (lookups == 0) return std::nullopt;
+  return static_cast<double>(hits) / static_cast<double>(lookups);
+}
+
 }  // namespace obs
 }  // namespace ocdx

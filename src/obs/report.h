@@ -10,6 +10,7 @@
 #ifndef OCDX_OBS_REPORT_H_
 #define OCDX_OBS_REPORT_H_
 
+#include <optional>
 #include <string>
 
 #include "logic/engine_context.h"
@@ -38,6 +39,11 @@ std::string RenderStatsTable(const EngineStats& stats);
 /// order, raw u64 values. Used by --stats-json, the bench records and
 /// the ocdxd `stats` aggregate.
 std::string RenderStatsJson(const EngineStats& stats);
+
+/// Plan-table hits over lookups, summed over both counter pairs: the
+/// context's own table (plan_cache_*) and lent ones (shared_plan_*).
+/// nullopt when nothing was looked up.
+std::optional<double> PlanHitRate(const EngineStats& stats);
 
 }  // namespace obs
 }  // namespace ocdx

@@ -46,11 +46,9 @@ std::string StatsRegistry::RenderJson() const {
   std::lock_guard<std::mutex> lock(mu_);
   uint64_t governed = governed_budget_ + governed_deadline_ +
                       governed_cancelled_ + governed_other_;
-  uint64_t lookups = total_.plan_cache_hits + total_.plan_cache_misses;
-  double hit_rate =
-      lookups == 0 ? 0.0
-                   : static_cast<double>(total_.plan_cache_hits) /
-                         static_cast<double>(lookups);
+  // Counts the requests' own tables (cold requests) and the preloaded
+  // bundles' lent tables (warm requests).
+  double hit_rate = PlanHitRate(total_).value_or(0.0);
   uint64_t uptime_ms = (NowNs() - start_ns_) / 1000000;
 
   char head[512];

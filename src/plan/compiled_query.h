@@ -32,7 +32,7 @@
 //   pointer in the plan (ShapeAtom::rel/terms, GenericNode::src,
 //   GenericTerm::src) points into `*source`, so a CompiledQuery is
 //   self-contained — it keeps its formula alive and never dangles, even
-//   when a cache entry outlives the caller's FormulaPtr.
+//   when a plan-table entry outlives the caller's FormulaPtr.
 // \invariant Correctness of a plan does not depend on the instance it
 //   was compiled against: relation references are by *name* (resolved at
 //   bind time) and BindQuery re-checks arities, falling back to the
@@ -181,8 +181,8 @@ enum class PlanKind : uint8_t {
   kGeneric,     ///< Active-domain skeleton (generic.has_value()).
 };
 
-/// One compiled query. Produced by plan::CompileQuery, cached by
-/// plan::PlanCache, bound by plan::BindQuery. See the header comment for
+/// One compiled query. Produced by plan::CompileQuery, published in a
+/// plan::SharedPlanTable, bound by plan::BindQuery. See the header comment for
 /// the immutability / lifetime invariants.
 struct CompiledQuery {
   FormulaPtr source;  ///< Retains the formula all interior pointers use.

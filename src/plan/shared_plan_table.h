@@ -1,109 +1,118 @@
-// SharedPlanTable: the thread-safe, publish-once compiled-plan table for
-// overlay serving.
+// SharedPlanTable: the compiled-plan table (src/plan).
 //
-// PlanCache (plan_cache.h) is per-job and unsynchronized. That was the
-// right shape while every parallel unit owned a private Universe, but
-// overlays share ONE read-only base across all the shards of a fan-out
-// (certain/member_enum.cc) and all the requests of a preloaded server
-// snapshot (tools/ocdxd.cc). The queries those
-// units run are the same handful of formulas against the same schema
-// fingerprint — so the compiled plans are shareable too, and compiling
-// them once per shard/request (one fresh cache per unit) was pure waste
-// that also distorted the cache-hit statistics.
+// The paper's coNP procedures evaluate a handful of queries over
+// thousands of enumerated member instances, so plans compile once and
+// rebind per instance (plan::BindQuery). This table is where a compiled
+// plan lives between uses. It is the only plan-table type.
 //
-// A SharedPlanTable is an append-only set of CompiledQueryPtr entries
-// with the same identity key as PlanCache (formula owner identity,
-// schema fingerprint, engine mode, boolean/answers convention,
-// order/prebound):
+// Identity-keyed: a lookup matches when (a) the formula is the *same
+// shared AST node* (shared_ptr owner identity — exact, because every
+// entry's CompiledQuery retains its formula, so a recycled address can
+// never alias a dead entry), and (b) the entry's (schema fingerprint,
+// engine mode, boolean/answers convention, output order or prebound
+// names) all agree. Callers that mint throwaway formulas per call should
+// hoist them (see StdRequirements in semantics/solutions.h) so
+// identities stay stable.
 //
+// Append-only and thread-safe:
 //   - *Probe* is lock-free: published entries are scanned through a
-//     release/acquire-published count, so the fan-out / request hot path
-//     never takes the mutex after first compile.
+//     release/acquire-published count, so the hot path never takes the
+//     mutex after first compile.
 //   - *Compile* is mutex-serialized with a double-checked re-probe, so a
-//     query is compiled exactly once per table lifetime no matter how
-//     many shards race to first use.
-//   - Entries are never evicted (the table is capacity-bounded and sized
-//     for "every distinct query of one workload"; past capacity it
-//     compiles without publishing — correct, just not shared).
+//     key is compiled exactly once per table lifetime no matter how many
+//     threads race to first use.
+//   - Entries are never evicted. The capacity is sized for "every
+//     distinct query of one workload"; past it the table compiles
+//     without publishing — correct, just not shared.
 //
-// \invariant A published CompiledQueryPtr is immutable (see
-//   compiled_query.h) and its slot is written exactly once, before the
-//   count_ release-store that makes it visible — so concurrent probes
-//   are data-race-free and a hit is always safe to execute on any
-//   thread.
-// \invariant The table must outlive every EngineContext that points at
-//   it (EngineContext::shared_plans is non-owning).
+// Who holds one: a context either owns a table
+// (EngineContext::plan_cache, attached by EnsureCache once per job or
+// command run and shared by every copy of the context, shard fan-out
+// copies included) or borrows one (EngineContext::shared_plans, a
+// snapshot bundle's table that outlives many runs). plan::GetOrCompile
+// consults exactly one of them.
+//
+// The OCDX_PLAN_CACHE environment variable ("off", "0" or "false")
+// disables caching process-wide: EnsureCache then attaches no table and
+// every call compiles privately — the compile-every-time oracle, kept
+// as a CI configuration and a debugging escape hatch.
+//
+// \invariant A published plan is immutable (see compiled_query.h), and
+//   its slot in the pre-sized entry array is written exactly once,
+//   before the count_ release-store that makes it visible — so
+//   concurrent probes are data-race-free and a hit is always safe to
+//   execute on any thread.
+// \invariant A lent table must outlive every EngineContext that points
+//   at it (EngineContext::shared_plans is non-owning).
 
 #ifndef OCDX_PLAN_SHARED_PLAN_TABLE_H_
 #define OCDX_PLAN_SHARED_PLAN_TABLE_H_
 
 #include <atomic>
 #include <cstdint>
-#include <deque>
 #include <mutex>
+#include <vector>
 
-#include "plan/plan_cache.h"
+#include "base/instance.h"
+#include "logic/engine_context.h"
+#include "plan/compile.h"
+#include "plan/compiled_query.h"
 
 namespace ocdx {
 namespace plan {
 
 class SharedPlanTable {
  public:
-  /// Default capacity: far above any real workload's distinct-query
-  /// count (the corpus peaks at a few dozen), small enough that the
+  /// Far above any real workload's distinct-query count (no corpus or
+  /// benchmark file compiles more than 18 plans), small enough that the
   /// linear probe stays cheap.
-  static constexpr size_t kDefaultCapacity = 1024;
+  static constexpr size_t kCapacity = 1024;
 
-  explicit SharedPlanTable(size_t capacity = kDefaultCapacity);
+  SharedPlanTable();
   SharedPlanTable(const SharedPlanTable&) = delete;
   SharedPlanTable& operator=(const SharedPlanTable&) = delete;
 
-  /// The shared-path compilation funnel: lock-free probe, then
-  /// mutex-serialized compile-once on miss (double-checked). Maintains
-  /// ctx.stats shared_plan_hits / shared_plan_misses plus the usual
-  /// compile-side counters and the plan-compile span — stats and trace
-  /// sinks in `ctx` stay thread-private to the calling shard/request.
-  /// `schema_key` is the caller's already-computed fingerprint (0 for
-  /// generic-forced compiles), so the key agrees with plan::GetOrCompile.
+  /// Returns the plan published under the lookup key — lock-free — or,
+  /// on first sight of the key, compiles it once under the mutex
+  /// (double-checked) and publishes it. `*hit` reports whether the plan
+  /// was already published. A compile runs in ctx's plan-compile span
+  /// and counts plan_compiles / guard_depth_fallbacks; the hit/miss
+  /// counters are plan::GetOrCompile's, which knows whose table this is.
   CompiledQueryPtr GetOrCompile(const CompileRequest& req,
                                 const Instance& inst, JoinEngineMode engine,
                                 bool force_generic, uint64_t schema_key,
-                                const EngineContext& ctx);
-
-  /// Publishes every entry of a per-job cache that is not already
-  /// present — a fan-out seeds its table from the caller's cache so
-  /// plans compiled by *earlier* fan-outs of the same job are shared,
-  /// not recompiled.
-  void SeedFromCache(const PlanCache& cache);
-
-  /// Copies every entry into `cache` via InsertIfAbsent (no counter
-  /// traffic) — the fan-out's parting gift back to the caller's per-job
-  /// cache, keeping repeated fan-outs compile-once across the job.
-  void ExportTo(PlanCache* cache) const;
+                                const EngineContext& ctx, bool* hit);
 
   /// Published entries (acquire; safe from any thread).
   size_t size() const { return count_.load(std::memory_order_acquire); }
 
+  /// False iff OCDX_PLAN_CACHE is "off", "0" or "false" (checked once).
+  static bool EnabledByEnv();
+
  private:
   /// Lock-free scan of the published prefix; nullptr on miss.
-  const CompiledQueryPtr* Probe(const FormulaPtr& formula, uint64_t schema_key,
-                                JoinEngineMode engine, bool boolean_mode,
-                                const std::vector<std::string>& order,
-                                const std::set<std::string>& prebound) const;
+  CompiledQueryPtr Probe(const CompileRequest& req, uint64_t schema_key,
+                         JoinEngineMode engine) const;
 
-  /// Appends under mutex_ if absent and capacity allows. Callers hold
-  /// mutex_.
-  void PublishLocked(const CompiledQueryPtr& compiled);
-
-  const size_t capacity_;
-  mutable std::mutex mutex_;
-  /// Stable addresses for published pointers (deque never relocates).
-  std::deque<CompiledQueryPtr> owners_;
-  /// slots_[i] points into owners_; written once (under mutex_) before
-  /// the count_ release-store that publishes index i.
-  std::vector<const CompiledQueryPtr*> slots_;
+  std::mutex mutex_;
+  /// kCapacity slots, never resized. entries_[i] is written once (under
+  /// mutex_) before the count_ release-store that publishes index i.
+  std::vector<CompiledQueryPtr> entries_;
   std::atomic<size_t> count_{0};
 };
+
+/// The one compilation funnel. Consults exactly one table: the
+/// context's lent `shared_plans` if set, else its owned `plan_cache`,
+/// else none — then every call compiles. Maintains the EngineStats
+/// counters: plan_cache_hits/misses for lookups on the context's own
+/// table, shared_plan_hits/misses for lookups on a lent one, and
+/// plan_compiles / guard_depth_fallbacks for every compile. The schema
+/// key is SchemaFingerprint(inst), or 0 for generic-forced compiles (the
+/// generic skeleton is schema-independent, so it is shared across
+/// schemas).
+CompiledQueryPtr GetOrCompile(const CompileRequest& req, const Instance& inst,
+                              JoinEngineMode engine, bool force_generic,
+                              const EngineContext& ctx);
 
 }  // namespace plan
 }  // namespace ocdx

@@ -55,6 +55,10 @@ Status Source::OutOfBounds(uint64_t need) const {
   return Corrupt(StrCat("need ", need, " bytes, ", remaining(), " left"));
 }
 
+Status Source::CountTooLarge(std::string_view what, uint64_t n) const {
+  return Corrupt(StrCat(what, " ", n, " exceeds the section payload"));
+}
+
 Status Source::ExpectEnd() const {
   if (AtEnd()) return Status::OK();
   return Status::DataLoss(StrCat("snapshot: section '", section_, "' has ",

@@ -22,6 +22,7 @@
 #ifndef OCDX_SNAP_FORMAT_H_
 #define OCDX_SNAP_FORMAT_H_
 
+#include <cassert>
 #include <cstdint>
 #include <cstring>
 #include <span>
@@ -125,6 +126,18 @@ class Source {
     pos_ += static_cast<size_t>(n);
     return out;
   }
+  /// Reads a u64 count of `record_bytes`-byte records and returns it
+  /// only if that many records fit in the rest of the payload; otherwise
+  /// a kDataLoss "<what> <count> exceeds the section payload". This is
+  /// the one bound a decoder count passes before it sizes an allocation
+  /// or a read. It divides rather than multiplies, so it cannot overflow,
+  /// and `count * record_bytes` is exact afterwards.
+  Result<uint64_t> Count(uint64_t record_bytes, std::string_view what) {
+    assert(record_bytes > 0);
+    OCDX_ASSIGN_OR_RETURN(uint64_t n, U64());
+    if (n > remaining() / record_bytes) return CountTooLarge(what, n);
+    return n;
+  }
 
   size_t pos() const { return pos_; }
   size_t remaining() const { return bytes_.size() - pos_; }
@@ -150,6 +163,8 @@ class Source {
   }
   /// Cold path: the positioned kDataLoss a short read produces.
   Status OutOfBounds(uint64_t need) const;
+  /// Cold path: the positioned kDataLoss an oversized Count produces.
+  Status CountTooLarge(std::string_view what, uint64_t n) const;
 
   std::span<const uint8_t> bytes_;
   std::string section_;

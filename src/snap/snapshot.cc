@@ -172,11 +172,8 @@ Status DecodeUniverse(Source* src, Universe* u) {
     }
   }
 
-  OCDX_ASSIGN_OR_RETURN(uint64_t witness_size, src->U64());
-  if (witness_size > src->remaining() / sizeof(uint64_t)) {
-    return src->Corrupt(StrCat("witness count ", witness_size,
-                               " exceeds the section payload"));
-  }
+  OCDX_ASSIGN_OR_RETURN(uint64_t witness_size,
+                        src->Count(sizeof(uint64_t), "witness count"));
   // Bulk read: one bounds check for the whole array, then a straight
   // copy into the Value vector LoadWitnessValues takes (Value is a
   // trivially-copyable u64 wrapper, so the stored raw bits ARE the
@@ -194,7 +191,12 @@ Status DecodeUniverse(Source* src, Universe* u) {
     std::memcpy(witness.data(), witness_bytes.data(), witness_bytes.size());
   }
 
-  OCDX_ASSIGN_OR_RETURN(uint64_t num_nulls, src->U64());
+  // Columnar registry (see EncodeUniverse): fixed records, then the
+  // var/label string blob. Two bounds checks cover every null.
+  constexpr uint64_t kNullRecord =
+      sizeof(int32_t) + sizeof(uint64_t) + 3 * sizeof(uint32_t);
+  OCDX_ASSIGN_OR_RETURN(uint64_t num_nulls,
+                        src->Count(kNullRecord, "null count"));
   // Witness values may reference any stored null (fresh-null spans live
   // in the same arena), so they validate against the stored total.
   for (uint64_t i = 0; i < witness_size; ++i) {
@@ -203,14 +205,6 @@ Status DecodeUniverse(Source* src, Universe* u) {
       return src->Corrupt(StrCat("witness value ", i, " is not a valid "
                                  "constant or null handle"));
     }
-  }
-  // Columnar registry (see EncodeUniverse): fixed records, then the
-  // var/label string blob. Two bounds checks cover every null.
-  constexpr uint64_t kNullRecord =
-      sizeof(int32_t) + sizeof(uint64_t) + 3 * sizeof(uint32_t);
-  if (num_nulls > src->remaining() / kNullRecord) {
-    return src->Corrupt(StrCat("null count ", num_nulls,
-                               " exceeds the section payload"));
   }
   OCDX_ASSIGN_OR_RETURN(std::span<const uint8_t> records,
                         src->Bytes(num_nulls * kNullRecord));
@@ -265,12 +259,18 @@ Status DecodeAnnotatedRelation(Source* src, const RelationDecl& decl,
                                arity, " but the schema declares ",
                                decl.arity()));
   }
-  OCDX_ASSIGN_OR_RETURN(uint64_t pool_size, src->U64());
-  // A zero-ary relation has one possible annotation vector (the empty
-  // one), and the encoder pools it at most once.
-  if (arity == 0 ? pool_size > 1 : pool_size > src->remaining() / arity) {
-    return src->Corrupt(StrCat("annotation pool of ", pool_size,
-                               " exceeds the section payload"));
+  // A pooled annotation vector stores `arity` bytes. A zero-ary relation
+  // has one possible vector (the empty one), and the encoder pools it at
+  // most once.
+  uint64_t pool_size = 0;
+  if (arity > 0) {
+    OCDX_ASSIGN_OR_RETURN(pool_size, src->Count(arity, "annotation pool of"));
+  } else {
+    OCDX_ASSIGN_OR_RETURN(pool_size, src->U64());
+    if (pool_size > 1) {
+      return src->Corrupt(StrCat("annotation pool of ", pool_size,
+                                 " exceeds the section payload"));
+    }
   }
   std::vector<AnnVec> pool(static_cast<size_t>(pool_size));
   for (AnnVec& ann : pool) {
@@ -284,11 +284,8 @@ Status DecodeAnnotatedRelation(Source* src, const RelationDecl& decl,
       ann[p] = static_cast<Ann>(a);
     }
   }
-  OCDX_ASSIGN_OR_RETURN(uint64_t num_rows, src->U64());
-  if (num_rows > src->remaining() / (2 * sizeof(uint32_t))) {
-    return src->Corrupt(StrCat("row count ", num_rows,
-                               " exceeds the section payload"));
-  }
+  OCDX_ASSIGN_OR_RETURN(uint64_t num_rows,
+                        src->Count(2 * sizeof(uint32_t), "row count"));
   std::vector<AnnotatedRelation::RowSpec> specs(
       static_cast<size_t>(num_rows));
   OCDX_ASSIGN_OR_RETURN(std::span<const uint8_t> spec_bytes,
@@ -299,11 +296,8 @@ Status DecodeAnnotatedRelation(Source* src, const RelationDecl& decl,
     std::memcpy(&specs[static_cast<size_t>(i)].ann, at + sizeof(uint32_t),
                 sizeof(uint32_t));
   }
-  OCDX_ASSIGN_OR_RETURN(uint64_t flat_size, src->U64());
-  if (flat_size > src->remaining() / sizeof(uint64_t)) {
-    return src->Corrupt(StrCat("value count ", flat_size,
-                               " exceeds the section payload"));
-  }
+  OCDX_ASSIGN_OR_RETURN(uint64_t flat_size,
+                        src->Count(sizeof(uint64_t), "value count"));
   std::vector<Value> flat(static_cast<size_t>(flat_size));
   OCDX_ASSIGN_OR_RETURN(std::span<const uint8_t> flat_bytes,
                         src->Bytes(flat_size * sizeof(uint64_t)));
@@ -443,7 +437,6 @@ Status DecodeChased(Source* src, const DxScenario& scenario,
           DecodeAnnotatedRelation(src, *decl, num_consts, num_nulls, &rel));
     }
 
-    OCDX_ASSIGN_OR_RETURN(uint64_t num_triggers, src->U64());
     const auto& stds = m->mapping.stds();
     // One fixed-width record per trigger: i32 std + (u64,u32) witness +
     // (u64,u32) fresh-null span. Read as one block — chase-heavy
@@ -451,10 +444,8 @@ Status DecodeChased(Source* src, const DxScenario& scenario,
     // warm-start critical path.
     constexpr uint64_t kTriggerRecord =
         sizeof(int32_t) + 2 * (sizeof(uint64_t) + sizeof(uint32_t));
-    if (num_triggers > src->remaining() / kTriggerRecord) {
-      return src->Corrupt(StrCat("trigger count ", num_triggers,
-                                 " exceeds the section payload"));
-    }
+    OCDX_ASSIGN_OR_RETURN(uint64_t num_triggers,
+                          src->Count(kTriggerRecord, "trigger count"));
     OCDX_ASSIGN_OR_RETURN(std::span<const uint8_t> trigger_bytes,
                           src->Bytes(num_triggers * kTriggerRecord));
     // Per-STD data is hoisted out of the trigger loop: BodyVars /

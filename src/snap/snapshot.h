@@ -93,10 +93,11 @@ std::string DescribeSnapshot(const SnapshotBundle& bundle);
 /// bundle's universe (RunDxCommandOnOverlay; the bundle stays unchanged
 /// and reusable), points the driver at the prechased store and otherwise
 /// behaves exactly like RunDxCommand over a fresh parse — byte-identical
-/// output, both engines, any shard width. Attach
-/// options.engine.shared_plans (a plan::SharedPlanTable owned alongside
-/// the bundle) to make repeated runs compile each query once per bundle
-/// lifetime instead of once per run — the ocdxd --preload serving path.
+/// output, both engines, any shard width. Lend the run a
+/// plan::SharedPlanTable owned alongside the bundle
+/// (options.engine.shared_plans) to make repeated runs compile each query
+/// once per bundle lifetime instead of once per run — the ocdxd --preload
+/// serving path. Without one, each run gets its own table.
 Result<std::string> RunSnapshotCommand(const SnapshotBundle& bundle,
                                        const std::string& command,
                                        const DxDriverOptions& options = {},

@@ -830,8 +830,8 @@ Result<std::string> RunDxCommand(const DxScenario& scenario,
                                  const DxDriverOptions& options,
                                  Status* governed) {
   if (command == "classify") return ClassifyText(scenario);
-  // One plan cache per command run (unless the caller attached one):
-  // every evaluation below shares it, so the enumeration-heavy commands
+  // One plan table per command run (unless the caller attached or lent
+  // one): every evaluation below shares it, so the enumeration-heavy commands
   // compile each (query, schema, mode) once. Caching never changes
   // output bytes — the golden corpus pins that under both engines.
   // (classify returned above: it evaluates nothing; the unknown-command

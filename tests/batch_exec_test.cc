@@ -30,6 +30,7 @@
 #include "logic/engine_config.h"
 #include "logic/engine_context.h"
 #include "obs/trace.h"
+#include "plan/shared_plan_table.h"
 #include "semantics/homomorphism.h"
 #include "text/dx_driver.h"
 #include "text/dx_parser.h"
@@ -256,6 +257,13 @@ TEST(EngineContext, PlanCachesAreJobLocal) {
   // Copies of one context share its cache: that is the intra-job contract.
   EngineContext copy = ctx;
   EXPECT_EQ(copy.plan_cache, ctx.plan_cache);
+  // A context lent a table (a snapshot bundle's) gets none of its own:
+  // plan::GetOrCompile consults exactly one table.
+  plan::SharedPlanTable lent;
+  EngineContext borrowing;
+  borrowing.shared_plans = &lent;
+  borrowing.EnsureCache();
+  EXPECT_EQ(borrowing.plan_cache, nullptr);
 }
 
 TEST(EngineContext, ContextBudgetCapsHomSearch) {

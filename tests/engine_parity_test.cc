@@ -19,7 +19,7 @@
 #include "logic/evaluator.h"
 #include "logic/parser.h"
 #include "mapping/rule_parser.h"
-#include "plan/plan_cache.h"
+#include "plan/shared_plan_table.h"
 #include "semantics/homomorphism.h"
 #include "semantics/membership.h"
 #include "semantics/repa.h"
@@ -413,7 +413,7 @@ struct CacheTriangleLeg {
   bool cache_opt_out;
 };
 
-class PlanCacheParity : public ::testing::TestWithParam<int> {};
+struct PlanCacheParity : ::testing::TestWithParam<int> {};
 
 TEST_P(PlanCacheParity, CachedUncachedAndNaiveAgree) {
   const int seed = GetParam();
@@ -513,10 +513,10 @@ TEST(PlanCacheParity, CompileOncePerQuerySchemaModeOnEnumeration) {
   EngineStats stats;
   EngineContext ctx;
   ctx.stats = &stats;
-  // Attach the cache explicitly (not via EnsureCache) so this pin holds
+  // Attach the table explicitly (not via EnsureCache) so this pin holds
   // even under the OCDX_PLAN_CACHE=off CI configuration — the test is
-  // *about* the cache.
-  ctx.plan_cache = std::make_shared<plan::PlanCache>();
+  // *about* the table.
+  ctx.plan_cache = std::make_shared<plan::SharedPlanTable>();
   Result<CertainAnswerEngine> engine =
       CertainAnswerEngine::Create(m.value(), s, &u, ctx);
   ASSERT_TRUE(engine.ok());

@@ -5,8 +5,9 @@
 // early-stop outcome regressions, and the ThreadPool shutdown assert.
 //
 // CI runs this suite under ThreadSanitizer (the tsan preset builds the
-// whole test tree), so the scratch-Universe-clone isolation of the
-// sharded paths is race-checked here, not just argued.
+// whole test tree), so the overlay isolation of the sharded paths and
+// the plan table the shards share are race-checked here, not just
+// argued.
 
 #include <atomic>
 #include <chrono>
@@ -23,6 +24,9 @@
 #include "certain/member_enum.h"
 #include "exec/pool.h"
 #include "logic/engine_context.h"
+#include "logic/evaluator.h"
+#include "logic/parser.h"
+#include "plan/shared_plan_table.h"
 #include "text/dx_driver.h"
 #include "text/dx_parser.h"
 
@@ -133,6 +137,62 @@ TEST(MemberEnumShardTest, SequentialAndShardedAgreeOnFullEnumeration) {
     EXPECT_EQ(stats.enum_shard_runs, 1u);
     EXPECT_EQ(stats.enum_shard_tasks, shards);
   }
+}
+
+// Shards copy the caller's context, plan table included, so every shard
+// of every fan-out in one context looks up the same thread-safe table:
+// two sharded enumerations compile each query exactly once between them,
+// the same count as the sequential run. Under the tsan preset this also
+// race-checks concurrent lookups and the compile-once publish.
+TEST(MemberEnumShardTest, ShardsCompileOncePerContext) {
+  MemberEnumOptions options;
+  options.open_replication_limit = 2;
+  auto compiles = [&](size_t shards) {
+    Universe u;
+    AnnotatedInstance t = MakeSpreadInstance(&u, 3);
+    const std::vector<Value> fixed = {u.Const("a"), u.Const("b")};
+    std::vector<FormulaPtr> queries;
+    for (const char* text :
+         {"exists x. R(x, 'c')", "exists x y. R(x, y) & R(y, x)"}) {
+      Result<FormulaPtr> q = ParseFormula(text, &u);
+      EXPECT_TRUE(q.ok()) << q.status().ToString();
+      if (!q.ok()) return uint64_t{0};
+      queries.push_back(q.value());
+    }
+    EngineStats stats;
+    EngineContext ctx;
+    ctx.shards = shards;
+    ctx.stats = &stats;
+    // Attached explicitly, not via EnsureCache, so the pin also holds
+    // under OCDX_PLAN_CACHE=off.
+    ctx.plan_cache = std::make_shared<plan::SharedPlanTable>();
+    for (int run = 0; run < 2; ++run) {
+      RepAMemberEnumerator en(t, fixed, &u, options, &ctx);
+      Status st = en.ForEachMember(
+          [&](const MemberShard& shard) -> RepAMemberEnumerator::ShardMemberFn {
+            return [&queries, shard](const Instance& member) -> Result<bool> {
+              Evaluator ev(member, *shard.universe, *shard.ctx);
+              for (const FormulaPtr& q : queries) {
+                Result<bool> held = ev.Holds(q);
+                if (!held.ok()) return held.status();
+              }
+              return true;
+            };
+          });
+      EXPECT_TRUE(st.ok()) << st.ToString();
+      EXPECT_EQ(en.outcome(), EnumOutcome::kExhausted) << "shards=" << shards;
+    }
+    EXPECT_EQ(stats.enum_shard_runs, shards > 1 ? 2u : 0u);
+    EXPECT_EQ(stats.shared_plan_hits + stats.shared_plan_misses, 0u)
+        << "the context's own table counts as plan_cache_*";
+    EXPECT_EQ(stats.plan_cache_misses, stats.plan_compiles);
+    EXPECT_GT(stats.plan_cache_hits, stats.plan_compiles);
+    EXPECT_EQ(ctx.plan_cache->size(), stats.plan_compiles);
+    return stats.plan_compiles;
+  };
+  const uint64_t sequential = compiles(1);
+  EXPECT_EQ(sequential, 2u) << "two queries, one compile each";
+  EXPECT_EQ(compiles(4), sequential);
 }
 
 TEST(MemberEnumShardTest, FirstSuccessStopsEveryShard) {

@@ -6,6 +6,7 @@
 // engines, 1 and 4 workers).
 
 #include <array>
+#include <cstdio>
 #include <cstring>
 #include <filesystem>
 #include <fstream>
@@ -21,6 +22,8 @@
 #include "obs/report.h"
 #include "obs/stats_registry.h"
 #include "obs/trace.h"
+#include "plan/shared_plan_table.h"
+#include "snap/snapshot.h"
 #include "text/dx_driver.h"
 
 namespace ocdx {
@@ -240,12 +243,13 @@ TEST(NonInterference, CorpusByteIdenticalWithSinksAttached) {
   }
 }
 
-// Sharded enumeration must not multiply plan compiles: the fan-out's
-// shared plan table (plan::SharedPlanTable) compiles each query exactly
-// once regardless of how many shards probe it, and the extra shard
-// probes surface as shared_plan_hits. Also pins the overlay wiring: each
-// fan-out reuses the caller's universe as a base (frozen_base_reuses)
-// and mints one overlay per shard (overlay_mints).
+// Sharded enumeration must not multiply plan compiles: every shard
+// copies the run's context and so looks up the run's own plan table
+// (plan::SharedPlanTable), which compiles each query exactly once
+// regardless of how many shards probe it. The shard lookups count on
+// the owned-table counters; no table is lent here. Also pins the overlay
+// wiring: each fan-out reuses the caller's universe as a base
+// (frozen_base_reuses) and mints one overlay per shard (overlay_mints).
 TEST(SharedPlanCompileOnce, ShardCountDoesNotChangeCompileCount) {
   const char* kScenarios[] = {"valuation_enum.dx", "member_search.dx",
                               "membership_sweep.dx"};
@@ -259,6 +263,9 @@ TEST(SharedPlanCompileOnce, ShardCountDoesNotChangeCompileCount) {
       DxDriverOptions options;
       options.engine.stats = &stats;
       options.engine.shards = shards;
+      // Attached explicitly, not via EnsureCache, so the pin also holds
+      // under OCDX_PLAN_CACHE=off.
+      options.engine.plan_cache = std::make_shared<plan::SharedPlanTable>();
       Status governed;
       Result<std::string> out =
           RunDxFile(path, source.value(), "all", options, &governed);
@@ -275,7 +282,11 @@ TEST(SharedPlanCompileOnce, ShardCountDoesNotChangeCompileCount) {
     EXPECT_EQ(sharded.plan_compiles, base.plan_compiles)
         << "shards=" << shards << " changed the compile count";
     EXPECT_GT(sharded.enum_shard_runs, 0u) << "shards=" << shards;
-    EXPECT_GT(sharded.shared_plan_hits, 0u) << "shards=" << shards;
+    EXPECT_EQ(sharded.plan_cache_misses, sharded.plan_compiles)
+        << "shards=" << shards;
+    EXPECT_GT(sharded.plan_cache_hits, 0u) << "shards=" << shards;
+    EXPECT_EQ(sharded.shared_plan_hits + sharded.shared_plan_misses, 0u)
+        << "shards=" << shards;
     EXPECT_GT(sharded.frozen_base_reuses, 0u) << "shards=" << shards;
     EXPECT_GE(sharded.overlay_mints, shards) << "shards=" << shards;
   }
@@ -318,6 +329,49 @@ TEST(StatsRegistry, AggregatesRequestsByOutcome) {
   EXPECT_NE(json.find("\"deadline_exceeded\":1"), std::string::npos) << json;
   EXPECT_NE(json.find("\"cancelled\":1"), std::string::npos) << json;
   EXPECT_NE(json.find("\"chase_triggers\":25"), std::string::npos) << json;
+}
+
+// The hit rate counts lookups on every plan table, lent ones included:
+// two warm runs that share one lent table (the ocdxd --preload shape)
+// look up nothing else, and the second run's lookups are all hits.
+TEST(StatsRegistry, HitRateCountsLentTables) {
+  const std::string path =
+      std::string(OCDX_CORPUS_DIR) + "/valuation_enum.dx";
+  Result<std::string> source = ReadDxFile(path);
+  ASSERT_TRUE(source.ok()) << source.status().ToString();
+  Result<snap::SnapshotBundle> bundle =
+      snap::BuildSnapshotBundle(path, source.value());
+  ASSERT_TRUE(bundle.ok()) << bundle.status().ToString();
+
+  plan::SharedPlanTable plans;
+  obs::StatsRegistry registry;
+  EngineStats runs[2];
+  for (EngineStats& stats : runs) {
+    DxDriverOptions options;
+    options.engine.stats = &stats;
+    options.engine.shared_plans = &plans;
+    Status governed;
+    Result<std::string> out =
+        snap::RunSnapshotCommand(bundle.value(), "certain", options, &governed);
+    ASSERT_TRUE(out.ok()) << out.status().ToString();
+    registry.Record(stats, governed, /*failed=*/false);
+  }
+  ASSERT_GT(runs[0].shared_plan_misses, 0u);
+  EXPECT_EQ(runs[1].shared_plan_misses, 0u) << "the table kept every plan";
+  EXPECT_GT(runs[1].shared_plan_hits, 0u);
+
+  const EngineStats total = registry.Snapshot();
+  EXPECT_EQ(total.plan_cache_hits + total.plan_cache_misses, 0u)
+      << "a lent table is the only table a warm run looks in";
+  const double hits = static_cast<double>(total.shared_plan_hits);
+  const double rate =
+      hits / (hits + static_cast<double>(total.shared_plan_misses));
+  char expected[64];
+  std::snprintf(expected, sizeof(expected), "\"plan_cache_hit_rate\":%.4f",
+                rate);
+  const std::string json = registry.RenderJson();
+  EXPECT_NE(json.find(expected), std::string::npos) << json;
+  EXPECT_GT(rate, 0.5);
 }
 
 }  // namespace

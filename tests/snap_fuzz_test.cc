@@ -16,6 +16,7 @@
 
 #include <algorithm>
 #include <cstdint>
+#include <cstring>
 #include <filesystem>
 #include <fstream>
 #include <random>
@@ -29,6 +30,7 @@
 #include "snap/format.h"
 #include "snap/snapshot.h"
 #include "util/fault.h"
+#include "util/str.h"
 
 namespace ocdx {
 namespace {
@@ -201,6 +203,118 @@ TEST(SnapFuzz, ZeroAryAnnotationPoolIsBounded) {
   EXPECT_NE(loaded.status().message().find("annotation pool"),
             std::string::npos)
       << loaded.status().ToString();
+}
+
+// Every count a section decoder sizes an allocation or a read with is
+// bounded by Source::Count: set to 2^64 - 1, or to one more record than
+// the rest of the payload holds, each must fail as a positioned
+// kDataLoss naming the count, before anything is allocated.
+TEST(SnapFuzz, OversizedCountsAreRejected) {
+  const std::string src =
+      "schema s {\n  S(a);\n}\n"
+      "schema t {\n  T(a, b);\n}\n"
+      "mapping m from s to t {\n  T(x^cl, z^cl) :- S(x);\n}\n"
+      "instance I over s {\n  S('x');\n}\n";
+  Result<snap::SnapshotBundle> bundle =
+      snap::BuildSnapshotBundle("counts.dx", src);
+  ASSERT_TRUE(bundle.ok()) << bundle.status().ToString();
+  Result<std::string> bytes = snap::SerializeSnapshot(bundle.value());
+  ASSERT_TRUE(bytes.ok()) << bytes.status().ToString();
+  const std::string base = bytes.value();
+  ASSERT_TRUE(snap::ParseSnapshot(AsBytes(base)).ok());
+  Result<std::vector<snap::SectionView>> sections =
+      snap::ParseContainer(AsBytes(base));
+  ASSERT_TRUE(sections.ok());
+  ASSERT_EQ(sections.value().size(), 4u);
+
+  // Walks a payload in the encoder's layout (snap/snapshot.cc), noting
+  // the payload offset of each count.
+  struct Walker {
+    std::span<const uint8_t> p;
+    size_t at = 0;
+    uint64_t U64() {
+      uint64_t v = 0;
+      std::memcpy(&v, p.data() + at, sizeof v);
+      at += sizeof v;
+      return v;
+    }
+    void Str() { at += static_cast<size_t>(U64()); }
+  };
+  struct CountField {
+    size_t section;        // Index into the container's sections.
+    size_t offset;         // Payload offset of the u64 count.
+    uint64_t record_bytes;
+    std::string what;
+  };
+  std::vector<CountField> fields;
+  auto relation = [&fields](Walker& w, size_t section) {
+    const uint64_t arity = w.U64();
+    fields.push_back({section, w.at, arity, "annotation pool of"});
+    w.at += static_cast<size_t>(w.U64() * arity);
+    fields.push_back({section, w.at, 2 * sizeof(uint32_t), "row count"});
+    w.at += static_cast<size_t>(w.U64() * 2 * sizeof(uint32_t));
+    fields.push_back({section, w.at, sizeof(uint64_t), "value count"});
+    w.at += static_cast<size_t>(w.U64() * sizeof(uint64_t));
+  };
+  {
+    Walker w{sections.value()[1].payload};  // universe
+    for (uint64_t c = w.U64(); c > 0; --c) w.Str();
+    fields.push_back({1, w.at, sizeof(uint64_t), "witness count"});
+    w.at += static_cast<size_t>(w.U64() * sizeof(uint64_t));
+    fields.push_back({1, w.at, 24, "null count"});
+  }
+  {
+    Walker w{sections.value()[2].payload};  // instances: I over s, S
+    ASSERT_EQ(w.U64(), 1u);
+    w.Str();
+    w.Str();
+    w.at += 1;
+    ASSERT_EQ(w.U64(), 1u);
+    w.Str();
+    relation(w, 2);
+  }
+  {
+    Walker w{sections.value()[3].payload};  // chased: (m, I), T
+    ASSERT_EQ(w.U64(), 1u);
+    w.Str();
+    w.Str();
+    ASSERT_EQ(w.U64(), 1u);
+    w.Str();
+    relation(w, 3);
+    fields.push_back({3, w.at, 28, "trigger count"});
+  }
+  ASSERT_EQ(fields.size(), 9u);
+
+  auto u64 = [](uint64_t v) {
+    return std::string(reinterpret_cast<const char*>(&v), sizeof v);
+  };
+  for (const CountField& f : fields) {
+    const snap::SectionView& view = sections.value()[f.section];
+    const size_t payload_at = static_cast<size_t>(
+        view.payload.data() - reinterpret_cast<const uint8_t*>(base.data()));
+    const size_t after = f.offset + sizeof(uint64_t);
+    const uint64_t one_too_many =
+        (view.payload.size() - after) / f.record_bytes + 1;
+    for (uint64_t count : {UINT64_MAX, one_too_many}) {
+      SCOPED_TRACE(StrCat(snap::SectionIdName(view.id), " ", f.what, " = ",
+                          count));
+      std::string mutant = base;
+      mutant.replace(payload_at + f.offset, sizeof(uint64_t), u64(count));
+      // Re-seal the section checksum, so the decoder sees the count.
+      const uint64_t sum = snap::Checksum64(
+          AsBytes(mutant).subspan(payload_at, view.payload.size()));
+      mutant.replace(payload_at - sizeof(uint64_t), sizeof(uint64_t),
+                     u64(sum));
+      Result<snap::SnapshotBundle> loaded =
+          snap::ParseSnapshot(AsBytes(mutant));
+      ASSERT_FALSE(loaded.ok());
+      EXPECT_EQ(loaded.status().code(), StatusCode::kDataLoss);
+      EXPECT_EQ(loaded.status().message(),
+                StrCat("snapshot: section '", snap::SectionIdName(view.id),
+                       "' corrupt at byte ", after, ": ", f.what, " ", count,
+                       " exceeds the section payload"));
+    }
+  }
 }
 
 class SnapFaultTest : public ::testing::Test {

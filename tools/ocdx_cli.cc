@@ -77,7 +77,6 @@
 #include "logic/engine_context.h"
 #include "obs/report.h"
 #include "obs/trace.h"
-#include "plan/plan_cache.h"
 #include "plan/shared_plan_table.h"
 #include "snap/snapshot.h"
 #include "text/dx_driver.h"
@@ -405,7 +404,7 @@ int main(int argc, char** argv) {
         // the command fans out across shards.
         plan::SharedPlanTable snapshot_plans;
         DxDriverOptions run_options = options;
-        if (plan::PlanCache::EnabledByEnv() &&
+        if (plan::SharedPlanTable::EnabledByEnv() &&
             !run_options.engine.plan_cache_opt_out) {
           run_options.engine.shared_plans = &snapshot_plans;
         }

@@ -72,7 +72,6 @@
 #include "logic/budget.h"
 #include "logic/engine_context.h"
 #include "obs/stats_registry.h"
-#include "plan/plan_cache.h"
 #include "plan/shared_plan_table.h"
 #include "snap/snapshot.h"
 #include "text/dx_driver.h"
@@ -253,9 +252,8 @@ int main(int argc, char** argv) {
   // bundle (whose source_path is the `.dx` path recorded at write time);
   // a request may address the bundle by either name. Requests run on
   // overlays of the bundle's universe (snap/snapshot.h), and each bundle
-  // owns one
-  // SharedPlanTable so plans compile once per *server lifetime*, not per
-  // request — ROADMAP item 3's serving contract. The table is omitted
+  // owns one plan table, lent to every request on it, so plans compile
+  // once per *server lifetime*, not per request. The table is omitted
   // when OCDX_PLAN_CACHE=off, preserving the compile-per-call escape
   // hatch.
   struct PreloadedEntry {
@@ -277,7 +275,7 @@ int main(int argc, char** argv) {
     PreloadedEntry entry;
     entry.snap_path = snap_path;
     entry.bundle = std::move(bundle.value());
-    if (plan::PlanCache::EnabledByEnv()) {
+    if (plan::SharedPlanTable::EnabledByEnv()) {
       entry.plans = std::make_unique<plan::SharedPlanTable>();
     }
     preloaded.push_back(std::move(entry));
@@ -384,11 +382,11 @@ int main(int argc, char** argv) {
     Status governed;
     Result<std::string> out = [&]() -> Result<std::string> {
       if (warm != nullptr) {
-        // The bundle's server-lifetime plan table rides the request
+        // The bundle's server-lifetime plan table is lent to the request
         // context; each request still runs over its own private overlay
-        // of the bundle universe (RunSnapshotCommand). Cold
-        // requests get no table — a fresh parse mints fresh formula
-        // identities, so cross-request sharing could never hit.
+        // of the bundle universe (RunSnapshotCommand). Cold requests
+        // get a table of their own per run — a fresh parse mints fresh
+        // formula identities, so cross-request sharing could never hit.
         request.engine.shared_plans =
             warm->plans != nullptr ? warm->plans.get() : nullptr;
         return snap::RunSnapshotCommand(warm->bundle, command, request,
