@@ -18,7 +18,10 @@ namespace ocdx {
 enum class JoinEngineMode {
   kIndexed,  ///< Slot-compiled plans over lazy hash indexes (default).
   kNaive,    ///< Original nested-loop scans (reference baseline).
-  kGeneric,  ///< No CQ fast path at all: active-domain enumeration.
+  /// No CQ fast path and no range restriction: every quantifier runs the
+  /// domain^k odometer. The pure active-domain oracle the parity tests
+  /// compare the indexed engine against.
+  kGeneric,
 };
 
 }  // namespace ocdx

@@ -57,6 +57,9 @@ class TraceSink;
 struct EngineStats {
   uint64_t cq_plans = 0;        ///< CQ join plans run (indexed or naive).
   uint64_t generic_evals = 0;   ///< Active-domain fallback evaluations.
+  /// Quantifier assignments the generic evaluator evaluated a body
+  /// under: odometer points plus driver matches (plan/runner.h).
+  uint64_t generic_steps = 0;
   uint64_t chase_triggers = 0;  ///< STD firings across all chases.
   uint64_t hom_steps = 0;       ///< Homomorphism-search work units.
   uint64_t repa_steps = 0;      ///< RepA-search work units.
@@ -120,11 +123,12 @@ struct EngineStats {
   /// it when adding a counter or timer — the static_assert below fails
   /// otherwise — and extend operator+= and the src/obs/report.cc field
   /// table in the same change (each is pinned by its own check).
-  static constexpr size_t kU64Fields = 31;
+  static constexpr size_t kU64Fields = 32;
 
   EngineStats& operator+=(const EngineStats& o) {
     cq_plans += o.cq_plans;
     generic_evals += o.generic_evals;
+    generic_steps += o.generic_steps;
     chase_triggers += o.chase_triggers;
     hom_steps += o.hom_steps;
     repa_steps += o.repa_steps;

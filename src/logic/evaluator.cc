@@ -21,9 +21,10 @@ namespace ocdx {
 namespace {
 
 // A fresh, uncached generic compile for the bind-failure path: the plan
-// in hand is relational/shape but this instance's relation arities do
-// not match, so the generic evaluator must run to report its historical
-// InvalidArgument. Rare, and never worth a cache slot.
+// in hand is relational/shape/range-restricted but this instance's
+// relation arities do not match, so the pure generic evaluator must run
+// to report its historical InvalidArgument. Rare, and never worth a
+// cache slot.
 plan::CompiledQueryPtr FreshGeneric(const plan::CompileRequest& req,
                                     const Instance& inst) {
   return plan::CompileQuery(req, inst, JoinEngineMode::kGeneric,
@@ -62,23 +63,27 @@ Result<bool> Evaluator::Holds(const FormulaPtr& f, const Env& binding) {
   plan::CompiledQueryPtr cq = plan::GetOrCompile(
       req, inst_, cq_eligible ? JoinEngineMode::kIndexed : JoinEngineMode::kGeneric,
       /*force_generic=*/!cq_eligible, ctx_);
-  if (cq->kind == plan::PlanKind::kRelational) {
-    plan::BoundQuery bound = plan::BindQuery(*cq, inst_, &ctx_);
-    if (bound.arity_ok) {
-      if (ctx_.stats != nullptr) ++ctx_.stats->cq_plans;
-      if (bound.trivially_empty) return false;
-      return plan::RunRelational(bound, &binding, /*out=*/nullptr);
-    }
+  plan::BoundQuery bound = plan::BindQuery(*cq, inst_, &ctx_);
+  if (!bound.arity_ok) {
     cq = FreshGeneric(req, inst_);
+    bound = plan::BindQuery(*cq, inst_, &ctx_);
+  }
+  if (cq->kind == plan::PlanKind::kRelational) {
+    if (ctx_.stats != nullptr) ++ctx_.stats->cq_plans;
+    if (bound.trivially_empty) return false;
+    return plan::RunRelational(bound, &binding, /*out=*/nullptr);
   }
 
   if (ctx_.stats != nullptr) ++ctx_.stats->generic_evals;
-  std::vector<Value> domain = Domain(f);
   const plan::GenericPlan& gp = *cq->generic;
-  plan::BoundQuery bound = plan::BindQuery(*cq, inst_, &ctx_);
+  // A range-restricted plan whose every quantified variable is bound by
+  // a driver never reads the domain; skip building it.
+  std::vector<Value> domain;
+  if (gp.needs_domain) domain = Domain(f);
   plan::GenericRunner runner(bound, oracle_);
   BudgetGauge gauge(ctx_.budget, ctx_.stats);
   runner.set_gauge(&gauge);
+  runner.set_stats(ctx_.stats);
   for (const auto& [name, value] : binding) {
     auto it = gp.slots.find(name);
     if (it != gp.slots.end()) runner.frame()[it->second] = value;
@@ -109,21 +114,22 @@ Result<Relation> Evaluator::Answers(const FormulaPtr& f,
   plan::CompiledQueryPtr cq = plan::GetOrCompile(
       req, inst_, fast_eligible ? ctx_.mode : JoinEngineMode::kGeneric,
       /*force_generic=*/!fast_eligible, ctx_);
-  if (cq->kind != plan::PlanKind::kGeneric) {
-    plan::BoundQuery bound = plan::BindQuery(*cq, inst_, &ctx_);
-    if (bound.arity_ok) {
-      if (ctx_.stats != nullptr) ++ctx_.stats->cq_plans;
-      Relation out(order.size());
-      if (cq->kind == plan::PlanKind::kRelational) {
-        if (!bound.trivially_empty) {
-          plan::RunRelational(bound, /*binding=*/nullptr, &out);
-        }
-      } else {
-        plan::RunShape(bound, order, &out);
-      }
-      return out;
-    }
+  plan::BoundQuery bound = plan::BindQuery(*cq, inst_, &ctx_);
+  if (!bound.arity_ok) {
     cq = FreshGeneric(req, inst_);
+    bound = plan::BindQuery(*cq, inst_, &ctx_);
+  }
+  if (cq->kind != plan::PlanKind::kGeneric) {
+    if (ctx_.stats != nullptr) ++ctx_.stats->cq_plans;
+    Relation out(order.size());
+    if (cq->kind == plan::PlanKind::kRelational) {
+      if (!bound.trivially_empty) {
+        plan::RunRelational(bound, /*binding=*/nullptr, &out);
+      }
+    } else {
+      plan::RunShape(bound, order, &out);
+    }
+    return out;
   }
 
   if (ctx_.stats != nullptr) ++ctx_.stats->generic_evals;
@@ -138,10 +144,10 @@ Result<Relation> Evaluator::Answers(const FormulaPtr& f,
   if (domain.empty()) return out;
 
   const plan::GenericPlan& gp = *cq->generic;
-  plan::BoundQuery bound = plan::BindQuery(*cq, inst_, &ctx_);
   plan::GenericRunner runner(bound, oracle_);
   BudgetGauge gauge(ctx_.budget, ctx_.stats);
   runner.set_gauge(&gauge);
+  runner.set_stats(ctx_.stats);
   std::vector<Value>& frame = runner.frame();
 
   out.Reserve(16);

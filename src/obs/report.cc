@@ -11,6 +11,7 @@ namespace {
 constexpr StatsField kFields[] = {
     {"cq_plans", &EngineStats::cq_plans, false},
     {"generic_evals", &EngineStats::generic_evals, false},
+    {"generic_steps", &EngineStats::generic_steps, false},
     {"chase_triggers", &EngineStats::chase_triggers, false},
     {"hom_steps", &EngineStats::hom_steps, false},
     {"repa_steps", &EngineStats::repa_steps, false},

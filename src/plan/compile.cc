@@ -207,6 +207,9 @@ class SlotMap {
     return it->second;
   }
   size_t size() const { return slots_.size(); }
+  std::unordered_map<std::string, int> Release() && {
+    return std::move(slots_);
+  }
 
  private:
   std::unordered_map<std::string, int> slots_;
@@ -434,17 +437,50 @@ bool CompileRelational(const QueryShape& shape,
 }
 
 // ---------------------------------------------------------------------------
-// Generic (active-domain) compilation.
+// Generic (FO skeleton) compilation.
 // ---------------------------------------------------------------------------
+
+// True iff the indexed engine may range-restrict `f`'s quantifiers: no
+// function terms (their evaluation is the oracle's, and its errors must
+// surface exactly where the odometer meets them), and no atom whose
+// relation has another arity in the compile-time instance (such a plan
+// would fail every bind; the pure odometer reports the mismatch instead).
+bool RangeRestrictable(const Formula& f, const Instance& inst) {
+  auto has_func = [](const std::vector<Term>& terms) {
+    return std::any_of(terms.begin(), terms.end(),
+                       [](const Term& t) { return t.IsFunc(); });
+  };
+  switch (f.kind()) {
+    case Formula::Kind::kAtom: {
+      if (has_func(f.terms())) return false;
+      const Relation* rel = inst.Find(f.rel());
+      return rel == nullptr || rel->arity() == f.terms().size();
+    }
+    case Formula::Kind::kEquals:
+      return !has_func(f.terms());
+    default:
+      return std::all_of(
+          f.children().begin(), f.children().end(),
+          [&inst](const FormulaPtr& c) { return RangeRestrictable(*c, inst); });
+  }
+}
 
 class GenericCompiler {
  public:
-  explicit GenericCompiler(RelInterner* rels) : rels_(rels) {}
+  /// `inst` seeds the driver join order (relation sizes); it is not
+  /// consulted unless `range_restrict`.
+  GenericCompiler(RelInterner* rels, const Instance& inst, bool range_restrict)
+      : rels_(rels), inst_(inst), range_restrict_(range_restrict) {}
 
   int GetOrAdd(const std::string& v) {
-    auto [it, inserted] = slots_.emplace(v, static_cast<int>(slots_.size()));
-    return it->second;
+    int slot = slots_.GetOrAdd(v);
+    if (static_cast<size_t>(slot) >= bound_.size()) bound_.resize(slot + 1);
+    return slot;
   }
+
+  /// Marks `v` as bound before evaluation starts (an output or a
+  /// prebound variable): drivers may probe on it.
+  void BindOutside(const std::string& v) { ++bound_[GetOrAdd(v)]; }
 
   GenericTerm CompileTerm(const Term& t) {
     GenericTerm out;
@@ -475,6 +511,10 @@ class GenericCompiler {
         n.rel_slot = static_cast<int>(rels_->GetOrAdd(f.rel()));
         n.terms.reserve(f.terms().size());
         for (const Term& t : f.terms()) n.terms.push_back(CompileTerm(t));
+        if (range_restrict_) {
+          atom_arities_.push_back({static_cast<uint32_t>(n.rel_slot),
+                                   static_cast<uint32_t>(n.terms.size())});
+        }
         break;
       case Formula::Kind::kEquals:
         n.terms.push_back(CompileTerm(f.terms()[0]));
@@ -486,7 +526,14 @@ class GenericCompiler {
         for (const std::string& v : f.bound()) {
           n.bound_slots.push_back(GetOrAdd(v));
         }
-        [[fallthrough]];
+        if (range_restrict_) CompileDriver(f, &n);
+        if (n.driver.empty() || !n.odometer_slots.empty()) {
+          needs_domain_ = true;
+        }
+        for (int s : n.bound_slots) ++bound_[s];
+        n.children.push_back(Compile(*f.children()[0]));
+        for (int s : n.bound_slots) --bound_[s];
+        break;
       default:
         n.children.reserve(f.children().size());
         for (const FormulaPtr& c : f.children()) {
@@ -503,26 +550,99 @@ class GenericCompiler {
     plan.num_slots = slots_.size();
     plan.num_nodes = next_id_;
     plan.out_slots = std::move(out_slots);
-    plan.slots = std::move(slots_);
+    plan.slots = std::move(slots_).Release();
+    plan.needs_domain = needs_domain_;
+    plan.atom_arities = std::move(atom_arities_);
     return plan;
   }
 
  private:
+  /// Picks the driver of quantifier `f` (see GenericNode): the positive
+  /// atoms the body needs true, joined greedily like a relational plan,
+  /// probing on constants and on slots bound outside the node. Atoms
+  /// with a variable bound neither outside nor by the node itself are
+  /// left to the body.
+  void CompileDriver(const Formula& f, GenericNode* n) {
+    const Formula& body = *f.children()[0];
+    const Formula* needed = nullptr;
+    if (f.kind() == Formula::Kind::kExists) {
+      needed = &body;
+    } else if (body.kind() == Formula::Kind::kImplies ||
+               body.kind() == Formula::Kind::kNot) {
+      needed = body.children()[0].get();
+    } else {
+      return;
+    }
+    const std::set<int> own(n->bound_slots.begin(), n->bound_slots.end());
+    std::set<int> driven;  // Own slots bound by an earlier driver atom.
+    auto slot_bound = [&](int s) {
+      return driven.count(s) > 0 || (own.count(s) == 0 && bound_[s] > 0);
+    };
+    std::vector<ShapeAtom> atoms;
+    auto consider = [&](const Formula& c) {
+      if (c.kind() != Formula::Kind::kAtom ||
+          c.terms().size() > kMaxPlanArity) {
+        return;
+      }
+      for (const Term& t : c.terms()) {
+        if (t.IsVar()) {
+          int s = GetOrAdd(t.name);
+          if (own.count(s) == 0 && bound_[s] == 0) return;
+        }
+      }
+      atoms.push_back(ShapeAtom{&c.rel(), &c.terms(), 0});
+    };
+    if (needed->kind() == Formula::Kind::kAnd) {
+      for (const FormulaPtr& c : needed->children()) consider(*c);
+    } else {
+      consider(*needed);
+    }
+    std::vector<bool> used(atoms.size(), false);
+    for (size_t step = 0; step < atoms.size(); ++step) {
+      size_t pick = PickNextAtom(
+          atoms, used,
+          [&](const std::string& v) { return slot_bound(GetOrAdd(v)); },
+          inst_);
+      used[pick] = true;
+      n->driver.push_back(CompileAtom(atoms[pick], rels_, &slots_, slot_bound,
+                                      [&](int s) { driven.insert(s); }));
+    }
+    for (int s : own) {
+      if (driven.count(s) == 0) n->odometer_slots.push_back(s);
+    }
+  }
+
   RelInterner* rels_;
-  std::unordered_map<std::string, int> slots_;
+  const Instance& inst_;
+  const bool range_restrict_;
+  SlotMap slots_;
+  /// Per slot: how many enclosing binders (quantifiers, or the caller for
+  /// outputs and prebound names) bind it at the current compile point.
+  std::vector<int> bound_;
   uint32_t next_id_ = 0;
+  bool needs_domain_ = false;
+  std::vector<std::pair<uint32_t, uint32_t>> atom_arities_;
 };
 
+/// Compiles the FO skeleton. `bound_outside` names the variables the
+/// caller binds before every run (boolean-mode prebound names); with
+/// `range_restrict` quantifier drivers may probe on them and on `order`.
 GenericPlan CompileGeneric(const FormulaPtr& f,
                            const std::vector<std::string>& order,
+                           const std::set<std::string>& bound_outside,
+                           const Instance& inst, bool range_restrict,
                            RelInterner* rels) {
-  GenericCompiler compiler(rels);
+  GenericCompiler compiler(rels, inst, range_restrict);
   // Output variables get slots first (they may not even occur in f, in
   // which case they simply range over the domain).
   std::vector<int> out_slots;
   out_slots.reserve(order.size());
   for (const std::string& v : order) {
     out_slots.push_back(compiler.GetOrAdd(v));
+  }
+  if (range_restrict) {
+    for (const std::string& v : order) compiler.BindOutside(v);
+    for (const std::string& v : bound_outside) compiler.BindOutside(v);
   }
   GenericNode root = compiler.Compile(*f);
   return compiler.Finish(std::move(root), std::move(out_slots));
@@ -601,8 +721,14 @@ CompiledQueryPtr CompileQuery(const CompileRequest& req, const Instance& inst,
     }
   }
 
+  static const std::set<std::string> kNoPrebound;
+  const bool range_restrict = engine == JoinEngineMode::kIndexed &&
+                              !force_generic &&
+                              RangeRestrictable(*req.formula, inst);
   out->kind = PlanKind::kGeneric;
-  out->generic = CompileGeneric(req.formula, order, &rels);
+  out->generic = CompileGeneric(req.formula, order,
+                                req.boolean_mode ? req.prebound : kNoPrebound,
+                                inst, range_restrict, &rels);
   return out;
 }
 

@@ -3,8 +3,9 @@
 // CompileQuery is the single compilation entry point for all three
 // engine modes. It recognizes the safe-CQ(+guards) shape where one
 // exists and emits the engine's artifact (relational plan / naive shape)
-// or the generic active-domain skeleton otherwise. Compilation consults
-// the given instance only for *heuristics* (join-order selectivity) and
+// or the generic FO skeleton otherwise (range-restricted for the indexed
+// engine, see compiled_query.h). Compilation consults the given instance
+// only for *heuristics* (join-order selectivity) and
 // for the compile-time arity sanity check; the emitted plan references
 // relations by name and is executable — via plan::BindQuery — against
 // any instance whose relation arities match (see the invariants on

@@ -15,8 +15,14 @@
 //   kShape       the recognized CQ shape for the naive nested-loop
 //                baseline (atom order is still chosen per bind, by
 //                relation size, exactly as the historical engine did);
-//   kGeneric     the slot-compiled active-domain skeleton (the fallback
-//                for non-CQ shapes and the whole plan for kGeneric mode).
+//   kGeneric     the slot-compiled FO skeleton: the fallback for non-CQ
+//                shapes (forall, ->, negation, !=, |). Compiled for the
+//                indexed engine it is range-restricted: a quantifier whose
+//                body is a conjunction (exists) or an implication / negation
+//                (forall) with positive atoms enumerates those atoms'
+//                tuples by index probes (GenericNode::driver) instead of
+//                domain^k. Compiled for kNaive / kGeneric mode it is the
+//                pure active-domain odometer, the differential oracle.
 //
 // Execution is two-phase: plan::BindQuery (runner.h) resolves the plan's
 // relation-name table against a concrete Instance — cheap, a handful of
@@ -141,7 +147,7 @@ struct QueryShape {
   std::vector<ShapeGuard> guards;
 };
 
-// --- The generic active-domain skeleton -----------------------------------
+// --- The generic FO skeleton ---------------------------------------------
 
 struct GenericTerm {
   Term::Kind kind = Term::Kind::kConst;
@@ -154,6 +160,19 @@ struct GenericTerm {
 /// One compiled formula node. `id` is a dense pre-order index used by
 /// the runner to address per-node scratch (the pre-PR 5 skeleton kept
 /// scratch inside the node, which made compiled sentences single-use).
+///
+/// Quantifier nodes run in one of two ways:
+///   - `driver` empty: the odometer assigns every tuple of domain^k to
+///     `bound_slots`;
+///   - `driver` non-empty (indexed engine only): the runner joins the
+///     driver atoms — positive atoms that the body needs true (top-level
+///     conjuncts of an exists body; the antecedent's conjuncts of a
+///     forall body `a -> b` or `!a`) — probing on constants and slots
+///     bound outside the node, and evaluates the body once per match,
+///     running the odometer only over `odometer_slots`, the node's slots
+///     that no driver atom binds. Every skipped assignment falsifies a
+///     driver atom, so it makes an exists body false and a forall body
+///     true: the result is the odometer's.
 struct GenericNode {
   Formula::Kind kind = Formula::Kind::kTrue;
   const Formula* src = nullptr;  ///< Atom name + error messages.
@@ -162,6 +181,8 @@ struct GenericNode {
   std::vector<GenericTerm> terms;
   std::vector<GenericNode> children;
   std::vector<int> bound_slots;  ///< Quantifier slots.
+  std::vector<PlanAtomStep> driver;  ///< Join order; see above.
+  std::vector<int> odometer_slots;   ///< Meaningful iff driver non-empty.
 };
 
 struct GenericPlan {
@@ -173,12 +194,23 @@ struct GenericPlan {
   /// Answers mode: slots of the output variables, numbered *first* so
   /// they exist even when they do not occur in the formula.
   std::vector<int> out_slots;
+  /// Some node runs an odometer over at least one slot, so a run needs
+  /// the evaluation domain. False for range-restricted plans whose every
+  /// quantified variable is bound by a driver (and for quantifier-free
+  /// formulas).
+  bool needs_domain = false;
+  /// Range-restricted plans only: (relation slot, arity) of every atom
+  /// in the formula. BindQuery checks them all, so a mismatch makes the
+  /// plan unrunnable (arity_ok false) and the caller's pure odometer
+  /// reports it exactly as it always has — skipping assignments must not
+  /// skip the atom evaluation that raises the error.
+  std::vector<std::pair<uint32_t, uint32_t>> atom_arities;
 };
 
 enum class PlanKind : uint8_t {
   kRelational,  ///< Indexed join plan (relational.has_value()).
   kShape,       ///< Naive-engine shape (shape.has_value()).
-  kGeneric,     ///< Active-domain skeleton (generic.has_value()).
+  kGeneric,     ///< FO skeleton (generic.has_value()).
 };
 
 /// One compiled query. Produced by plan::CompileQuery, published in a

@@ -292,8 +292,15 @@ BoundQuery BindQuery(const CompiledQuery& q, const Instance& inst) {
       break;
     }
     case PlanKind::kGeneric:
-      // Arity mismatches surface as the generic evaluator's
-      // InvalidArgument during execution, as they always have.
+      // A pure skeleton reports arity mismatches as the generic
+      // evaluator's InvalidArgument during execution, as it always has.
+      // A range-restricted one must not run on them: its drivers would
+      // probe with the wrong key width, and the assignments it skips
+      // could hide the atom evaluation that raises the error.
+      for (const auto& [rel_slot, arity] : q.generic->atom_arities) {
+        const Relation* rel = b.rels[rel_slot];
+        if (rel != nullptr && rel->arity() != arity) b.arity_ok = false;
+      }
       break;
   }
   return b;
@@ -423,6 +430,75 @@ void GenericRunner::Restore(const GenericNode& n) {
   }
 }
 
+Result<bool> GenericRunner::Decides(const GenericNode& n,
+                                    const std::vector<Value>& domain) {
+  ++steps_;
+  OCDX_ASSIGN_OR_RETURN(bool v, Eval(n.children[0], domain));
+  return v == (n.kind == Formula::Kind::kExists);
+}
+
+Result<bool> GenericRunner::Odometer(const GenericNode& n,
+                                     const std::vector<int>& slots,
+                                     const std::vector<Value>& domain) {
+  const size_t k = slots.size();
+  // No slots: the completed driver match is the one assignment (its
+  // tuple already ticked the gauge).
+  if (k == 0) return Decides(n, domain);
+  if (domain.empty()) return false;
+  std::vector<size_t>& idx = idx_scratch_[n.id];
+  idx.assign(k, 0);
+  while (true) {
+    if (gauge_ != nullptr) OCDX_RETURN_IF_ERROR(gauge_->Tick());
+    for (size_t i = 0; i < k; ++i) frame_[slots[i]] = domain[idx[i]];
+    OCDX_ASSIGN_OR_RETURN(bool decided, Decides(n, domain));
+    if (decided) return true;
+    size_t p = k;
+    while (p > 0) {
+      --p;
+      if (++idx[p] < domain.size()) break;
+      idx[p] = 0;
+      if (p == 0) return false;  // Wrapped: every point visited.
+    }
+  }
+}
+
+Result<bool> GenericRunner::Drive(const GenericNode& n, size_t step,
+                                  const std::vector<Value>& domain) {
+  if (step == n.driver.size()) return Odometer(n, n.odometer_slots, domain);
+  const PlanAtomStep& ap = n.driver[step];
+  const Relation* rel = rels_[ap.rel_slot];
+  if (rel == nullptr) return false;
+  auto try_tuple = [&](TupleRef t) -> Result<bool> {
+    if (gauge_ != nullptr) OCDX_RETURN_IF_ERROR(gauge_->Tick());
+    for (const auto& [pos, slot] : ap.binds) frame_[slot] = t[pos];
+    for (const auto& [pos, slot] : ap.checks) {
+      if (frame_[slot] != t[pos]) return false;
+    }
+    return Drive(n, step + 1, domain);
+  };
+  if (ap.mask != 0) {
+    // The key is consumed by Probe before any nested evaluation runs, so
+    // one scratch vector serves every node and step.
+    key_scratch_.clear();
+    for (const PlanTerm& k : ap.key) {
+      key_scratch_.push_back(k.is_const ? k.constant : frame_[k.slot]);
+    }
+    const std::vector<uint32_t>* ids = rel->Probe(ap.mask, key_scratch_);
+    if (ids == nullptr) return false;
+    BucketIterationGuard guard(rel);
+    for (uint32_t id : *ids) {
+      OCDX_ASSIGN_OR_RETURN(bool decided, try_tuple(rel->tuples()[id]));
+      if (decided) return true;
+    }
+  } else {
+    for (TupleRef t : rel->tuples()) {
+      OCDX_ASSIGN_OR_RETURN(bool decided, try_tuple(t));
+      if (decided) return true;
+    }
+  }
+  return false;
+}
+
 Result<bool> GenericRunner::Eval(const GenericNode& n,
                                  const std::vector<Value>& domain) {
   switch (n.kind) {
@@ -476,67 +552,30 @@ Result<bool> GenericRunner::Eval(const GenericNode& n,
     }
     case Formula::Kind::kExists:
     case Formula::Kind::kForall: {
-      bool is_exists = n.kind == Formula::Kind::kExists;
-      const size_t k = n.bound_slots.size();
-      std::vector<Value>& saved = saved_scratch_[n.id];
-      std::vector<size_t>& idx = idx_scratch_[n.id];
-      saved.resize(k);
-      idx.resize(k);
       // Shadowing: remember the outer bindings of the bound slots.
-      for (size_t i = 0; i < k; ++i) {
+      std::vector<Value>& saved = saved_scratch_[n.id];
+      saved.resize(n.bound_slots.size());
+      for (size_t i = 0; i < n.bound_slots.size(); ++i) {
         saved[i] = frame_[n.bound_slots[i]];
       }
-      // Odometer over domain^k.
-      bool result = !is_exists;  // exists: false until witness.
-      if (!(domain.empty() && k > 0)) {
-        std::fill(idx.begin(), idx.end(), 0);
-        while (true) {
-          if (gauge_ != nullptr) {
-            Status g = gauge_->Tick();
-            if (!g.ok()) {
-              Restore(n);
-              return g;
-            }
-          }
-          for (size_t i = 0; i < k; ++i) {
-            frame_[n.bound_slots[i]] = domain[idx[i]];
-          }
-          Result<bool> v = Eval(n.children[0], domain);
-          if (!v.ok()) {
-            Restore(n);
-            return v;
-          }
-          if (is_exists && v.value()) {
-            result = true;
-            break;
-          }
-          if (!is_exists && !v.value()) {
-            result = false;
-            break;
-          }
-          // Advance odometer.
-          size_t p = k;
-          while (p > 0) {
-            --p;
-            if (++idx[p] < domain.size()) break;
-            idx[p] = 0;
-            if (p == 0) {
-              p = SIZE_MAX;
-              break;
-            }
-          }
-          if (p == SIZE_MAX || k == 0) break;
-        }
-      }
+      // exists: true iff some assignment is a witness; forall: false iff
+      // some assignment is a counterexample.
+      Result<bool> decided = n.driver.empty()
+                                 ? Odometer(n, n.bound_slots, domain)
+                                 : Drive(n, 0, domain);
       Restore(n);
-      return result;
+      if (!decided.ok()) return decided.status();
+      return decided.value() == (n.kind == Formula::Kind::kExists);
     }
   }
   return Status::Internal("unknown formula kind");
 }
 
 Result<bool> GenericRunner::Run(const std::vector<Value>& domain) {
-  return Eval(plan_.root, domain);
+  Result<bool> v = Eval(plan_.root, domain);
+  if (stats_ != nullptr) stats_->generic_steps += steps_;
+  steps_ = 0;
+  return v;
 }
 
 }  // namespace plan

@@ -7,6 +7,11 @@
 // missing/empty relations). Binding is a handful of map lookups — the
 // member-enumeration loops bind per member and reuse one compiled plan.
 //
+// Three runners execute the three plan forms: RunRelational (index-driven
+// joins), RunShape (the naive nested-loop baseline) and GenericRunner
+// (FO formulas; quantifiers enumerate driver tuples by index probe in
+// range-restricted plans, and the active domain otherwise).
+//
 // \invariant Runners never mutate the CompiledQuery. All scratch (the
 //   dense binding frame, probe keys, per-node quantifier state) is owned
 //   by the runner or this call's BoundQuery, so a plan can be executed
@@ -31,6 +36,7 @@
 namespace ocdx {
 
 struct EngineContext;
+struct EngineStats;
 
 namespace plan {
 
@@ -80,7 +86,12 @@ bool RunRelational(const BoundQuery& b,
 void RunShape(const BoundQuery& b, const std::vector<std::string>& order,
               Relation* out);
 
-/// Executes a bound generic plan (kind kGeneric) over a dense frame.
+/// Executes a bound generic plan (kind kGeneric, arity_ok) over a dense
+/// frame. A quantifier node with a driver (range-restricted plans, see
+/// GenericNode) enumerates the driver atoms' matching tuples by index
+/// probe or scan and runs the domain^k odometer only over the slots no
+/// driver binds; a node without one runs the odometer over all its
+/// slots, as the pure active-domain evaluator always has.
 /// One runner per evaluation call; for Answers-style enumeration the
 /// caller seeds frame() slots per domain tuple and calls Run repeatedly.
 class GenericRunner {
@@ -93,29 +104,47 @@ class GenericRunner {
   std::vector<Value>& frame() { return frame_; }
 
   /// Attaches a deadline/cancellation gauge (logic/budget.h), ticked once
-  /// per quantifier-odometer iteration — the domain^k loops are the only
-  /// place a generic evaluation does unbounded work. The gauge must
-  /// outlive every Run call; nullptr (the default) disables polling.
+  /// per odometer point and once per driver tuple — the quantifier loops
+  /// are the only place a generic evaluation does unbounded work. The
+  /// gauge must outlive every Run call; nullptr (the default) disables
+  /// polling.
   void set_gauge(BudgetGauge* gauge) { gauge_ = gauge; }
 
-  /// Evaluates the root under the current frame and `domain`.
+  /// Attaches a stats sink: each Run adds the quantifier assignments it
+  /// evaluated a body under to EngineStats::generic_steps. Counted in
+  /// the runner and flushed once per Run; nullptr (the default) skips
+  /// the flush.
+  void set_stats(EngineStats* stats) { stats_ = stats; }
+
+  /// Evaluates the root under the current frame and `domain`. `domain`
+  /// may be empty when the plan does not need_domain.
   Result<bool> Run(const std::vector<Value>& domain);
 
  private:
   Result<Value> EvalTerm(const GenericTerm& t);
   Result<bool> Eval(const GenericNode& n, const std::vector<Value>& domain);
+  /// Quantifier helpers; each returns true iff the quantifier is decided
+  /// (exists: a witness; forall: a counterexample).
+  Result<bool> Decides(const GenericNode& n, const std::vector<Value>& domain);
+  Result<bool> Odometer(const GenericNode& n, const std::vector<int>& slots,
+                        const std::vector<Value>& domain);
+  Result<bool> Drive(const GenericNode& n, size_t step,
+                     const std::vector<Value>& domain);
   void Restore(const GenericNode& n);
 
   const GenericPlan& plan_;
   const std::vector<const Relation*>& rels_;
   FunctionOracle* oracle_;
   BudgetGauge* gauge_ = nullptr;
+  EngineStats* stats_ = nullptr;
+  uint64_t steps_ = 0;
   std::vector<Value> frame_;
   // Per-node scratch, addressed by GenericNode::id (the compiled plan is
   // immutable and shared; scratch cannot live in it).
   std::vector<Tuple> atom_scratch_;
   std::vector<std::vector<Value>> saved_scratch_;
   std::vector<std::vector<size_t>> idx_scratch_;
+  std::vector<Value> key_scratch_;  ///< Driver probe key.
 };
 
 }  // namespace plan

@@ -184,6 +184,10 @@ Result<std::vector<DxToken>> DxLex(std::string_view src,
       if (j >= src.size() || src[j] != '\'') {
         return error(pos, "unterminated quoted string");
       }
+      if (j - i - 1 > kDxMaxQuotedBytes) {
+        return error(pos, StrCat("quoted string longer than ",
+                                 kDxMaxQuotedBytes, " bytes"));
+      }
       // The token starts at the opening quote; its text excludes both.
       out.push_back(
           DxToken{DxTokKind::kQuoted, src.substr(i + 1, j - i - 1), pos});

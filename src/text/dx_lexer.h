@@ -74,11 +74,18 @@ struct DxLexOptions {
   bool elide_instance_rows = false;
 };
 
+/// The longest quoted string (constant or description) a `.dx` file may
+/// hold, in bytes between the quotes: 64 KiB, the same as ocdxd's
+/// request-line cap. Longer is a positioned ParseError, so a hostile file
+/// cannot make one constant the size of the input.
+inline constexpr size_t kDxMaxQuotedBytes = size_t{64} << 10;
+
 /// Splits a `.dx` source into tokens (views into `src`; see DxToken).
 /// Lexing is eager — the whole source is tokenized before parsing starts
 /// — so a lexical error anywhere wins over a parse error earlier in the
 /// file. Fails with a positioned ParseError ("line L, col C") on unknown
-/// characters or unterminated quotes.
+/// characters, unterminated quotes, or quoted strings longer than
+/// kDxMaxQuotedBytes.
 Result<std::vector<DxToken>> DxLex(std::string_view src);
 Result<std::vector<DxToken>> DxLex(std::string_view src,
                                    const DxLexOptions& options);

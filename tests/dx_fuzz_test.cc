@@ -32,6 +32,8 @@
 
 #include <gtest/gtest.h>
 
+#include "alloc_cap.h"
+
 #include "text/dx_parser.h"
 #include "text/dx_printer.h"
 
@@ -176,6 +178,16 @@ class DxFuzz : public ::testing::Test {
 
 size_t Pick(std::mt19937& rng, size_t n) {
   return std::uniform_int_distribution<size_t>(0, n - 1)(rng);
+}
+
+// The binary runs under the allocation cap of alloc_cap.h: a request past
+// it fails the same way on every host, whatever its overcommit policy.
+TEST_F(DxFuzz, AllocationCapRefusesAnUnboundedReserve) {
+  std::vector<uint64_t> v;
+  EXPECT_THROW(v.reserve(testing_alloc::kAllocCapBytes / sizeof(uint64_t) + 1),
+               std::bad_alloc);
+  EXPECT_NO_THROW(v.reserve(1024));
+  EXPECT_EQ(v.capacity(), 1024u);
 }
 
 TEST_F(DxFuzz, BitFlipsNeverCrash) {

@@ -11,6 +11,7 @@
 
 #include "logic/parser.h"
 #include "mapping/rule_parser.h"
+#include "text/dx_lexer.h"
 #include "text/dx_parser.h"
 #include "text/dx_printer.h"
 
@@ -412,6 +413,39 @@ TEST(DxParserErrors, NestingIsCappedWithAPositionedError) {
         << result.status().message();
     EXPECT_NE(result.status().message().find(", col "), std::string::npos)
         << result.status().message();
+  }
+}
+
+TEST(DxParserErrors, QuotedStringsAreCappedWithAPositionedError) {
+  const size_t cap = kDxMaxQuotedBytes;
+  auto fact = [](size_t len) {
+    return "schema s { R(a); }\ninstance I over s {\n  R('" +
+           std::string(len, 'v') + "');\n}\n";
+  };
+  {
+    Universe u;
+    Result<DxScenario> ok = Parse(fact(cap), &u);
+    ASSERT_TRUE(ok.ok()) << ok.status().ToString();
+    EXPECT_EQ(ok.value().FindInstance("I")->plain.TotalTuples(), 1u);
+  }
+  // One byte over, as a constant and as a query description: an error at
+  // the opening quote.
+  const std::string over(cap + 1, 'v');
+  const std::pair<std::string, std::string> cases[] = {
+      {fact(cap + 1), "line 3, col 5"},
+      {"schema s { R(a); }\nquery q() '" + over + "' {\n  true\n}\n",
+       "line 2, col 11"},
+  };
+  for (const auto& [src, where] : cases) {
+    Universe u;
+    Result<DxScenario> long_literal = Parse(src, &u);
+    ASSERT_FALSE(long_literal.ok());
+    EXPECT_EQ(long_literal.status().code(), StatusCode::kParseError);
+    EXPECT_NE(long_literal.status().message().find(
+                  "quoted string longer than " + std::to_string(cap) +
+                  " bytes at " + where),
+              std::string::npos)
+        << long_literal.status().message();
   }
 }
 

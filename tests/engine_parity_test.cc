@@ -7,9 +7,13 @@
 
 #include <gtest/gtest.h>
 
+#include <fstream>
 #include <map>
+#include <memory>
 #include <set>
+#include <sstream>
 #include <string>
+#include <tuple>
 #include <vector>
 
 #include "certain/certain.h"
@@ -23,6 +27,7 @@
 #include "semantics/homomorphism.h"
 #include "semantics/membership.h"
 #include "semantics/repa.h"
+#include "text/dx_parser.h"
 #include "util/rng.h"
 #include "workloads/scenarios.h"
 #include "workloads/tripartite.h"
@@ -102,6 +107,303 @@ TEST_P(CqEngineParity, IndexedNaiveAndGenericAgree) {
 }
 
 INSTANTIATE_TEST_SUITE_P(Random, CqEngineParity, ::testing::Range(0, 8));
+
+// ---------------------------------------------------------------------------
+// Range-restricted FO parity: the indexed engine's generic plans drive
+// quantifiers by index probes over their positive atoms; the kGeneric
+// oracle runs the pure domain^k odometer. Every verdict must agree.
+// ---------------------------------------------------------------------------
+
+// Seeded random FO formulas. Quantifier bodies are shaped so that a
+// driver exists some of the time (an exists conjunction, a forall
+// implication or negated conjunction with atoms in it) and not at other
+// times (a forall disjunction), mixed with everything a driver has to get
+// right: repeated variables and constants in atoms, `!=`, names rebound
+// by a nested quantifier, atoms over a missing and an empty relation,
+// and quantified variables that occur in no atom.
+class RandomFo {
+ public:
+  /// `inst` must hold a relation "Empty"/1 with no tuples and none
+  /// named "Missing".
+  RandomFo(const Instance& inst, Value fresh, Rng* rng) : rng_(rng) {
+    for (const auto& [name, rel] : inst.relations()) {
+      if (!rel.empty()) rels_.push_back({name, rel.arity()});
+    }
+    std::vector<Value> dom = inst.ActiveDomain();
+    for (int i = 0; i < 3 && !dom.empty(); ++i) {
+      consts_.push_back(dom[rng_->Below(dom.size())]);
+    }
+    consts_.push_back(fresh);  // Outside the active domain.
+  }
+
+  /// A formula whose free variables are among `scope`, quantifying at
+  /// most `budget` variables in total.
+  FormulaPtr Gen(int depth, const std::vector<std::string>& scope,
+                 int* budget) {
+    if (depth == 0 || rng_->Chance(1, 4)) return Leaf(scope);
+    switch (rng_->Below(*budget > 0 ? 6 : 4)) {
+      case 0:
+        return Formula::Not(Gen(depth - 1, scope, budget));
+      case 1:
+        return Formula::And(Gen(depth - 1, scope, budget),
+                            Gen(depth - 1, scope, budget));
+      case 2:
+        return Formula::Or(Gen(depth - 1, scope, budget),
+                           Gen(depth - 1, scope, budget));
+      case 3:
+        return Formula::Implies(Gen(depth - 1, scope, budget),
+                                Gen(depth - 1, scope, budget));
+      default:
+        return Quantifier(depth, scope, budget);
+    }
+  }
+
+  /// As Gen, but rooted at a quantifier (needs *budget > 0).
+  FormulaPtr Quantifier(int depth, const std::vector<std::string>& scope,
+                        int* budget) {
+    static const std::vector<std::string> kPool = {"x", "y", "z"};
+    const bool exists = rng_->Chance(1, 2);
+    std::vector<std::string> vars;
+    std::vector<std::string> fresh;
+    std::vector<std::string> inner = scope;
+    int k = 1 + static_cast<int>(rng_->Below(std::min(*budget, 2)));
+    *budget -= k;
+    for (int i = 0; i < k; ++i) {
+      if (rng_->Chance(1, 6)) {
+        vars.push_back("idle");  // Occurs in no atom: stays an odometer.
+        continue;
+      }
+      // Sometimes rebind a name that is already in scope.
+      const std::string v = !scope.empty() && rng_->Chance(1, 4)
+                                ? scope[rng_->Below(scope.size())]
+                                : kPool[rng_->Below(kPool.size())];
+      vars.push_back(v);
+      fresh.push_back(v);
+      inner.push_back(v);
+    }
+    std::vector<FormulaPtr> needed;
+    for (size_t i = 0, n = 1 + rng_->Below(2); i < n; ++i) {
+      needed.push_back(Atom(inner, fresh));
+    }
+    FormulaPtr rest = Gen(depth - 1, inner, budget);
+    if (exists) {
+      needed.insert(needed.begin() + rng_->Below(needed.size() + 1), rest);
+      return Formula::Exists(vars, Formula::And(std::move(needed)));
+    }
+    switch (rng_->Below(3)) {
+      case 0:
+        return Formula::Forall(
+            vars, Formula::Implies(Formula::And(std::move(needed)), rest));
+      case 1:
+        needed.push_back(rest);
+        return Formula::Forall(vars,
+                               Formula::Not(Formula::And(std::move(needed))));
+      default:  // No driver shape: the odometer decides.
+        return Formula::Forall(
+            vars, Formula::Or(rng_->Chance(1, 2) ? Formula::Not(needed[0])
+                                                 : needed[0],
+                              rest));
+    }
+  }
+
+ private:
+  Term AnyTerm(const std::vector<std::string>& scope) {
+    if (scope.empty() || rng_->Chance(1, 5)) {
+      return Term::Constant(consts_[rng_->Below(consts_.size())]);
+    }
+    return Term::Var(scope[rng_->Below(scope.size())]);
+  }
+
+  /// An atom over `scope`, favouring the variables a quantifier has just
+  /// bound (`fresh`), so that drivers bind something.
+  FormulaPtr Atom(const std::vector<std::string>& scope,
+                  const std::vector<std::string>& fresh = {}) {
+    std::string name = "Missing";  // The instance has no such relation.
+    size_t arity = 2;
+    switch (rng_->Below(8)) {
+      case 0:
+        break;
+      case 1:
+        name = "Empty";
+        arity = 1;
+        break;
+      default:
+        std::tie(name, arity) = rels_[rng_->Below(rels_.size())];
+    }
+    std::vector<Term> terms;
+    for (size_t p = 0; p < arity; ++p) {
+      if (p > 0 && rng_->Chance(1, 6)) {
+        terms.push_back(terms.back());  // R(x, x), R('c', 'c').
+      } else if (!fresh.empty() && rng_->Chance(1, 2)) {
+        terms.push_back(Term::Var(fresh[rng_->Below(fresh.size())]));
+      } else {
+        terms.push_back(AnyTerm(scope));
+      }
+    }
+    return Formula::Atom(name, std::move(terms));
+  }
+
+  FormulaPtr Leaf(const std::vector<std::string>& scope) {
+    switch (rng_->Below(4)) {
+      case 0:
+        return Formula::Eq(AnyTerm(scope), AnyTerm(scope));
+      case 1:
+        return Formula::Neq(AnyTerm(scope), AnyTerm(scope));
+      default:
+        return Atom(scope);
+    }
+  }
+
+  Rng* rng_;
+  std::vector<std::pair<std::string, size_t>> rels_;
+  std::vector<Value> consts_;
+};
+
+std::string Render(const Result<bool>& r) {
+  if (!r.ok()) return r.status().ToString();
+  return r.value() ? "true" : "false";
+}
+
+std::string Render(const Result<Relation>& r) {
+  if (!r.ok()) return r.status().ToString();
+  std::string out;
+  for (const Tuple& t : r.value().SortedTuples()) {
+    for (Value v : t) out += std::to_string(v.raw()) + ",";
+    out += ";";
+  }
+  return out;
+}
+
+class GenericRangeParity : public ::testing::TestWithParam<int> {};
+
+TEST_P(GenericRangeParity, IndexedMatchesThePureOdometer) {
+  Rng rng(4242 + GetParam());
+  Universe u;
+  Result<ConferenceScenario> conf = BuildConferenceScenario(4, 2, &u);
+  ASSERT_TRUE(conf.ok());
+  TripartiteInstance tri = TripartiteWithMatching(2, 2, &rng);
+  Result<TripartiteReduction> red = BuildTripartiteReduction(tri, &u);
+  ASSERT_TRUE(red.ok());
+  const Value fresh = u.Const("nowhere");
+
+  uint64_t indexed_steps = 0, generic_steps = 0;
+  for (const Instance* base :
+       {&conf.value().source, &red.value().source, &red.value().target}) {
+    Instance inst = *base;
+    inst.GetOrCreate("Empty", 1);  // Present with no tuples.
+    RandomFo gen(inst, fresh, &rng);
+    const std::vector<Value> dom = inst.ActiveDomain();
+    for (int q = 0; q < 12; ++q) {
+      // A sentence, a formula over a prebound name, and an Answers query
+      // whose output variable quantifiers may rebind.
+      int budget = 3;
+      FormulaPtr sentence = gen.Quantifier(3, {}, &budget);
+      budget = 3;
+      FormulaPtr bound = gen.Quantifier(3, {"p"}, &budget);
+      budget = 2;
+      FormulaPtr open = gen.Gen(3, {"a"}, &budget);
+      const Env binding = {{"p", dom[rng.Below(dom.size())]}};
+
+      EngineStats oracle_stats;
+      EngineContext oracle = EngineContext::ForMode(JoinEngineMode::kGeneric);
+      oracle.stats = &oracle_stats;
+      Evaluator slow(inst, u, oracle);
+      const std::string want_sentence = Render(slow.Holds(sentence));
+      const std::string want_bound = Render(slow.Holds(bound, binding));
+      const std::string want_open = Render(slow.Answers(open, {"a"}));
+      generic_steps += oracle_stats.generic_steps;
+
+      for (size_t shards : {1, 4}) {
+        EngineStats stats;
+        EngineContext ctx = EngineContext::ForMode(JoinEngineMode::kIndexed);
+        ctx.shards = shards;
+        ctx.stats = &stats;
+        // One leg compiles per call, the other runs cached plans twice.
+        if (shards == 4) {
+          ctx.plan_cache = std::make_shared<plan::SharedPlanTable>();
+        }
+        Evaluator fast(inst, u, ctx);
+        for (int rep = 0; rep < (shards == 4 ? 2 : 1); ++rep) {
+          EXPECT_EQ(Render(fast.Holds(sentence)), want_sentence)
+              << "seed " << GetParam() << " query " << q << ": "
+              << sentence->ToString(u);
+          EXPECT_EQ(Render(fast.Holds(bound, binding)), want_bound)
+              << "seed " << GetParam() << " query " << q << ": "
+              << bound->ToString(u);
+          EXPECT_EQ(Render(fast.Answers(open, {"a"})), want_open)
+              << "seed " << GetParam() << " query " << q << ": "
+              << open->ToString(u);
+        }
+        if (shards == 1) indexed_steps += stats.generic_steps;
+      }
+    }
+  }
+  // The drivers must actually have run: they skip assignments.
+  EXPECT_LT(indexed_steps, generic_steps) << "seed " << GetParam();
+}
+
+INSTANTIATE_TEST_SUITE_P(Random, GenericRangeParity, ::testing::Range(0, 8));
+
+TEST(GenericRangeParity, ValuationEnumVerdictsAgreeAcrossEngines) {
+  // CWA valuation enumeration (Thm 3.1) over the corpus scenario: every
+  // engine and shard count must reach the same verdicts after visiting
+  // the same members.
+  std::ifstream in(std::string(OCDX_CORPUS_DIR) + "/valuation_enum.dx");
+  ASSERT_TRUE(in.good());
+  std::stringstream text;
+  text << in.rdbuf();
+
+  struct Run {
+    std::string label;
+    std::vector<std::string> verdicts;
+  };
+  std::vector<Run> runs;
+  for (JoinEngineMode mode :
+       {JoinEngineMode::kIndexed, JoinEngineMode::kNaive,
+        JoinEngineMode::kGeneric}) {
+    for (size_t shards : {1, 4}) {
+      Universe u;
+      Result<DxScenario> sc = ParseDxScenario(text.str(), &u);
+      ASSERT_TRUE(sc.ok()) << sc.status().ToString();
+      const DxScenario& scenario = sc.value();
+      ASSERT_EQ(scenario.mappings.size(), 1u);
+      EngineContext ctx = EngineContext::ForMode(mode);
+      ctx.shards = shards;
+      Result<CertainAnswerEngine> engine = CertainAnswerEngine::Create(
+          scenario.mappings[0].mapping, scenario.FindInstance("S")->plain, &u,
+          ctx);
+      ASSERT_TRUE(engine.ok()) << engine.status().ToString();
+      Run run{"mode " + std::to_string(static_cast<int>(mode)) + " shards " +
+                  std::to_string(shards),
+              {}};
+      // Sharded runs that stop early may visit more or fewer members
+      // (certain/member_enum.h); everything else is shard-independent.
+      for (const DxQuery& q : scenario.queries) {
+        ASSERT_TRUE(q.vars.empty()) << q.name;
+        Result<CertainVerdict> v =
+            engine.value().IsCertainBoolean(q.formula, CertainOptions());
+        ASSERT_TRUE(v.ok()) << q.name << ": " << v.status().ToString();
+        run.verdicts.push_back(
+            q.name + " certain=" + std::to_string(v.value().certain) +
+            " exhaustive=" + std::to_string(v.value().exhaustive) +
+            (shards == 1
+                 ? " members=" + std::to_string(v.value().members_checked)
+                 : ""));
+      }
+      runs.push_back(std::move(run));
+    }
+  }
+  ASSERT_EQ(runs.size(), 6u);
+  ASSERT_EQ(runs[0].verdicts.size(), 4u);
+  for (size_t i = 0; i < runs.size(); i += 2) {
+    EXPECT_EQ(runs[i].verdicts, runs[0].verdicts) << runs[i].label;
+    EXPECT_EQ(runs[i + 1].verdicts, runs[1].verdicts) << runs[i + 1].label;
+  }
+  for (size_t q = 0; q < 4; ++q) {
+    EXPECT_EQ(runs[0].verdicts[q].rfind(runs[1].verdicts[q], 0), 0u)
+        << "shards=4 verdict differs: " << runs[1].verdicts[q];
+  }
+}
 
 // ---------------------------------------------------------------------------
 // Homomorphism parity: indexed vs naive vs brute force.

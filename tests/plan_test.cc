@@ -5,6 +5,7 @@
 
 #include <gtest/gtest.h>
 
+#include <atomic>
 #include <string>
 #include <vector>
 
@@ -13,6 +14,7 @@
 #include "logic/evaluator.h"
 #include "logic/parser.h"
 #include "plan/compile.h"
+#include "plan/runner.h"
 #include "plan/shared_plan_table.h"
 
 namespace ocdx {
@@ -187,6 +189,174 @@ TEST_F(PlanTest, SchemaFingerprintIgnoresContents) {
   EXPECT_EQ(plan::SchemaFingerprint(a), plan::SchemaFingerprint(b));
   EXPECT_NE(plan::SchemaFingerprint(a), plan::SchemaFingerprint(c));
   EXPECT_NE(plan::SchemaFingerprint(a), 0u);
+}
+
+
+// ---------------------------------------------------------------------------
+// Range-restricted generic plans: under the indexed engine a quantifier
+// whose body needs positive atoms true enumerates those atoms' tuples
+// (its driver) instead of the domain^k odometer.
+// ---------------------------------------------------------------------------
+
+constexpr char kUniqueOffice[] =
+    "forall x o1 o2. (Assign(x, o1) & Assign(x, o2)) -> o1 = o2";
+
+plan::CompiledQueryPtr CompileSentence(const FormulaPtr& f,
+                                       const Instance& inst,
+                                       JoinEngineMode mode,
+                                       bool force_generic = false) {
+  plan::CompileRequest req;
+  req.formula = f;
+  req.boolean_mode = true;
+  return plan::CompileQuery(req, inst, mode, force_generic,
+                            plan::SchemaFingerprint(inst));
+}
+
+// Four employees, three offices; everybody has exactly one office.
+Instance FourEmployeeMember(Universe* u) {
+  Instance m;
+  m.Add("Assign", {u->Const("ana"), u->Const("o1")});
+  m.Add("Assign", {u->Const("bo"), u->Const("o2")});
+  m.Add("Assign", {u->Const("cy"), u->Const("o1")});
+  m.Add("Assign", {u->Const("dee"), u->Const("o3")});
+  return m;
+}
+
+TEST_F(PlanTest, OnlyIndexedPlansWithoutFunctionTermsGetDrivers) {
+  Instance member = FourEmployeeMember(&u_);
+  FormulaPtr f = Parse(kUniqueOffice);
+
+  plan::CompiledQueryPtr indexed =
+      CompileSentence(f, member, JoinEngineMode::kIndexed);
+  ASSERT_EQ(indexed->kind, plan::PlanKind::kGeneric);
+  const plan::GenericNode& root = indexed->generic->root;
+  EXPECT_EQ(root.driver.size(), 2u) << "both antecedent atoms drive";
+  EXPECT_TRUE(root.odometer_slots.empty());
+  EXPECT_FALSE(indexed->generic->needs_domain);
+  EXPECT_EQ(indexed->generic->atom_arities.size(), 2u);
+  // The second atom probes on x, bound by the first.
+  EXPECT_EQ(root.driver[0].mask, 0u);
+  EXPECT_EQ(root.driver[1].mask, 1u);
+
+  // The oracles keep the pure odometer.
+  for (JoinEngineMode mode :
+       {JoinEngineMode::kNaive, JoinEngineMode::kGeneric}) {
+    plan::CompiledQueryPtr pure = CompileSentence(f, member, mode);
+    ASSERT_EQ(pure->kind, plan::PlanKind::kGeneric);
+    EXPECT_TRUE(pure->generic->root.driver.empty());
+    EXPECT_TRUE(pure->generic->needs_domain);
+    EXPECT_TRUE(pure->generic->atom_arities.empty());
+  }
+  plan::CompiledQueryPtr forced = CompileSentence(
+      f, member, JoinEngineMode::kIndexed, /*force_generic=*/true);
+  EXPECT_TRUE(forced->generic->root.driver.empty());
+
+  // A function term anywhere keeps the whole plan pure: its evaluation
+  // (and its missing-oracle error) must happen where the odometer does.
+  plan::CompiledQueryPtr func = CompileSentence(
+      Parse("forall x o. Assign(x, o) -> Assign(x, f(o))"), member,
+      JoinEngineMode::kIndexed);
+  EXPECT_TRUE(func->generic->root.driver.empty());
+
+  // A quantified variable no driver atom binds keeps the odometer.
+  plan::CompiledQueryPtr partial = CompileSentence(
+      Parse("exists x o z. Assign(x, o) & !(z = o)"), member,
+      JoinEngineMode::kIndexed);
+  EXPECT_EQ(partial->generic->root.driver.size(), 1u);
+  EXPECT_EQ(partial->generic->root.odometer_slots,
+            std::vector<int>{partial->generic->slots.at("z")});
+  EXPECT_TRUE(partial->generic->needs_domain);
+}
+
+TEST_F(PlanTest, UniqueOfficeStepsPerEvaluation) {
+  // The member's 4 Assign tuples are the only assignments that can
+  // falsify the body: 4 steps under the indexed engine, |D|^3 under the
+  // pure odometer (D = 4 employees + 3 offices).
+  Instance member = FourEmployeeMember(&u_);
+  FormulaPtr f = Parse(kUniqueOffice);
+  for (JoinEngineMode mode :
+       {JoinEngineMode::kIndexed, JoinEngineMode::kGeneric}) {
+    EngineStats stats;
+    EngineContext ctx = EngineContext::ForMode(mode);
+    ctx.stats = &stats;
+    Evaluator ev(member, u_, ctx);
+    for (int eval = 0; eval < 2; ++eval) {
+      Result<bool> r = ev.Holds(f);
+      ASSERT_TRUE(r.ok()) << r.status().ToString();
+      EXPECT_TRUE(r.value());
+    }
+    EXPECT_EQ(stats.generic_evals, 2u);
+    if (mode == JoinEngineMode::kIndexed) {
+      EXPECT_LE(stats.generic_steps, 2u * 4u);
+    } else {
+      EXPECT_EQ(stats.generic_steps, 2u * 7u * 7u * 7u);
+    }
+  }
+  // A violating member: both engines find the counterexample.
+  member.Add("Assign", {u_.Const("ana"), u_.Const("o2")});
+  for (JoinEngineMode mode :
+       {JoinEngineMode::kIndexed, JoinEngineMode::kGeneric}) {
+    Evaluator ev(member, u_, EngineContext::ForMode(mode));
+    Result<bool> r = ev.Holds(f);
+    ASSERT_TRUE(r.ok());
+    EXPECT_FALSE(r.value());
+  }
+}
+
+TEST_F(PlanTest, DriversRunOnlyWhenBindFindsArityOk) {
+  Instance good = FourEmployeeMember(&u_);
+  Instance bad;
+  bad.Add("Assign", {u_.Const("ana"), u_.Const("o1"), u_.Const("x")});
+  FormulaPtr f = Parse(kUniqueOffice);
+
+  // A range-restricted plan bound to an instance whose Assign has
+  // another arity must not run: BindQuery says so.
+  plan::CompiledQueryPtr cq =
+      CompileSentence(f, good, JoinEngineMode::kIndexed);
+  ASSERT_FALSE(cq->generic->root.driver.empty());
+  EXPECT_TRUE(plan::BindQuery(*cq, good).arity_ok);
+  EXPECT_FALSE(plan::BindQuery(*cq, bad).arity_ok);
+  // Compiled against the mismatched instance itself, the plan stays pure.
+  EXPECT_TRUE(CompileSentence(f, bad, JoinEngineMode::kIndexed)
+                  ->generic->root.driver.empty());
+
+  // Either way the caller sees the pure odometer's InvalidArgument.
+  Result<bool> indexed =
+      Evaluator(bad, u_, EngineContext::ForMode(JoinEngineMode::kIndexed))
+          .Holds(f);
+  Result<bool> generic =
+      Evaluator(bad, u_, EngineContext::ForMode(JoinEngineMode::kGeneric))
+          .Holds(f);
+  ASSERT_FALSE(indexed.ok());
+  EXPECT_EQ(indexed.status().code(), StatusCode::kInvalidArgument);
+  EXPECT_EQ(indexed.status().ToString(), generic.status().ToString());
+}
+
+TEST_F(PlanTest, DriverTuplesTickTheGauge) {
+  // The gauge polls every 1024 ticks. A driver ticks once per tuple, so
+  // with cancellation already raised 1023 tuples finish and 1024 trip.
+  std::atomic<bool> cancel{true};
+  FormulaPtr f = Parse("forall x y. R(x, y) -> x = y");
+  for (int n : {1023, 1024}) {
+    Instance inst;
+    for (int i = 0; i < n; ++i) {
+      Value v = u_.Const("c" + std::to_string(i));
+      inst.Add("R", {v, v});
+    }
+    EngineStats stats;
+    EngineContext ctx;
+    ctx.stats = &stats;
+    ctx.budget.cancel = &cancel;
+    Result<bool> r = Evaluator(inst, u_, ctx).Holds(f);
+    if (n == 1023) {
+      ASSERT_TRUE(r.ok()) << r.status().ToString();
+      EXPECT_TRUE(r.value());
+      EXPECT_EQ(stats.generic_steps, 1023u);
+    } else {
+      ASSERT_FALSE(r.ok());
+      EXPECT_EQ(r.status().code(), StatusCode::kCancelled);
+    }
+  }
 }
 
 }  // namespace

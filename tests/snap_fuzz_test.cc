@@ -27,6 +27,8 @@
 
 #include <gtest/gtest.h>
 
+#include "alloc_cap.h"
+
 #include "snap/format.h"
 #include "snap/snapshot.h"
 #include "util/fault.h"
@@ -74,6 +76,16 @@ void ExpectCleanOutcome(const std::string& mutant, const char* what,
                             // here, but OK loads are within contract)
   EXPECT_FALSE(loaded.status().message().empty())
       << what << " " << detail << ": error without a message";
+}
+
+// The binary runs under the allocation cap of alloc_cap.h: a request past
+// it fails the same way on every host, whatever its overcommit policy.
+TEST(SnapFuzz, AllocationCapRefusesAnUnboundedReserve) {
+  std::vector<uint64_t> v;
+  EXPECT_THROW(v.reserve(testing_alloc::kAllocCapBytes / sizeof(uint64_t) + 1),
+               std::bad_alloc);
+  EXPECT_NO_THROW(v.reserve(1024));
+  EXPECT_EQ(v.capacity(), 1024u);
 }
 
 TEST(SnapFuzz, RandomBitFlipsNeverCrash) {
