@@ -68,7 +68,18 @@ std::vector<Value> Instance::Constants() const {
   return out;
 }
 
-bool Instance::IsGround() const { return Nulls().empty(); }
+bool Instance::IsGround() const {
+  // A scan with early exit: no active-domain set is built (composition
+  // and RepA membership test the same ground instance once per candidate).
+  for (const auto& [name, rel] : relations_) {
+    for (TupleRef t : rel.tuples()) {
+      for (Value v : t) {
+        if (v.IsNull()) return false;
+      }
+    }
+  }
+  return true;
+}
 
 bool Instance::SubsetOf(const Instance& other) const {
   for (const auto& [name, rel] : relations_) {

@@ -37,16 +37,15 @@ Result<Value> EvalHeadTerm(const Term& t, const Env& env) {
 
 // Original string-keyed witness loop, preserved as the naive baseline
 // (see logic/engine_context.h).
-Status FireNaive(const AnnotatedStd& std_, size_t std_index,
-                 const std::shared_ptr<const std::vector<std::string>>& vars,
-                 const std::vector<std::string>& exist_vars,
-                 const std::vector<TupleRef>& witnesses,
+Status FireNaive(const AnnotatedStd& std_, const plan::CompiledStd& cs,
+                 size_t std_index, const std::vector<TupleRef>& witnesses,
                  Universe* universe, CanonicalSolution* out) {
-  const std::vector<std::string>& body_vars = *vars;
+  const std::vector<std::string>& body_vars = *cs.body_vars;
+  const std::vector<std::string>& exist_vars = cs.exist_vars;
   for (TupleRef w : witnesses) {
     ChaseTrigger trigger;
     trigger.std_index = static_cast<int>(std_index);
-    trigger.var_order = vars;
+    trigger.var_order = cs.body_vars;
     // One stored witness copy, shared with every NullInfo minted below.
     trigger.witness = universe->InternWitness(w);
 
@@ -82,22 +81,19 @@ Status FireNaive(const AnnotatedStd& std_, size_t std_index,
   return Status::OK();
 }
 
-// Slot-compiled witness loop: head terms are resolved to witness / fresh-
-// null positions once per STD (plan::CompileHeadPlans), so firing a
-// witness is a handful of vector reads instead of string-map traffic. The
-// instantiated head tuples are accumulated into one flat buffer per head
-// atom and appended through the relations' batch AddAll — the whole delta
-// of an STD costs at most one arena chunk allocation per target relation
-// instead of per-tuple vector/annotation churn.
-Status FireCompiled(const AnnotatedStd& std_, size_t std_index,
-                    const std::shared_ptr<const std::vector<std::string>>& vars,
-                    const std::vector<std::string>& exist_vars,
-                    const std::vector<TupleRef>& witnesses,
-                    Universe* universe, CanonicalSolution* out) {
-  const std::vector<std::string>& body_vars = *vars;
-  OCDX_ASSIGN_OR_RETURN(
-      std::vector<std::vector<plan::HeadSlot>> head_plans,
-      plan::CompileHeadPlans(std_.head, body_vars, exist_vars));
+// Slot-compiled witness loop: head terms were resolved to witness /
+// fresh-null positions when the mapping was compiled (CompiledStd::
+// head_slots), so firing a witness is a handful of vector reads instead
+// of string-map traffic. The instantiated head tuples are accumulated
+// into one flat buffer per head atom and appended through the relations'
+// batch AddAll — the whole delta of an STD costs at most one arena chunk
+// allocation per target relation instead of per-tuple vector/annotation
+// churn.
+void FireCompiled(const AnnotatedStd& std_, const plan::CompiledStd& cs,
+                  size_t std_index, const std::vector<TupleRef>& witnesses,
+                  Universe* universe, CanonicalSolution* out) {
+  const std::vector<std::string>& exist_vars = cs.exist_vars;
+  const std::vector<std::vector<plan::HeadSlot>>& head_plans = cs.head_slots;
 
   // One flat delta buffer per head atom; row i belongs to witness i.
   std::vector<Tuple> deltas(std_.head.size());
@@ -109,7 +105,7 @@ Status FireCompiled(const AnnotatedStd& std_, size_t std_index,
   for (TupleRef w : witnesses) {
     ChaseTrigger trigger;
     trigger.std_index = static_cast<int>(std_index);
-    trigger.var_order = vars;
+    trigger.var_order = cs.body_vars;
     // One stored witness copy per firing, shared by the trigger record
     // and all its NullInfo justifications (the former per-null vector
     // copies were the last allocation on this path).
@@ -157,7 +153,6 @@ Status FireCompiled(const AnnotatedStd& std_, size_t std_index,
       rel.AddAll(deltas[a], atom.ann);
     }
   }
-  return Status::OK();
 }
 
 }  // namespace
@@ -165,8 +160,16 @@ Status FireCompiled(const AnnotatedStd& std_, size_t std_index,
 Result<CanonicalSolution> Chase(const Mapping& mapping, const Instance& source,
                                 Universe* universe,
                                 const EngineContext& ctx) {
+  OCDX_ASSIGN_OR_RETURN(plan::CompiledMapping compiled,
+                        plan::CompileMapping(mapping, ctx));
+  return Chase(compiled, source, universe, ctx);
+}
+
+Result<CanonicalSolution> Chase(const plan::CompiledMapping& compiled,
+                                const Instance& source, Universe* universe,
+                                const EngineContext& ctx) {
   obs::ScopedSpan span(ctx, obs::kPhaseChase);
-  OCDX_RETURN_IF_ERROR(mapping.Validate(/*allow_functions=*/false));
+  const Mapping& mapping = compiled.mapping();
   OCDX_RETURN_IF_ERROR(mapping.source().Validate(source));
 
   CanonicalSolution out;
@@ -189,8 +192,8 @@ Result<CanonicalSolution> Chase(const Mapping& mapping, const Instance& source,
 
   for (size_t i = 0; i < mapping.stds().size(); ++i) {
     const AnnotatedStd& std_ = mapping.stds()[i];
-    const std::vector<std::string> body_vars = std_.BodyVars();
-    const std::vector<std::string> exist_vars = std_.ExistentialVars();
+    const plan::CompiledStd& cs = compiled.stds()[i];
+    const std::vector<std::string>& body_vars = *cs.body_vars;
 
     // Collect the witnesses of the body over S: pointers into the answer
     // relation, sorted by Value order for deterministic firing.
@@ -200,7 +203,8 @@ Result<CanonicalSolution> Chase(const Mapping& mapping, const Instance& source,
       OCDX_ASSIGN_OR_RETURN(bool holds, eval.Holds(std_.body));
       if (holds) witnesses.push_back(TupleRef{});
     } else {
-      OCDX_ASSIGN_OR_RETURN(answers, eval.Answers(std_.body, body_vars));
+      OCDX_ASSIGN_OR_RETURN(answers,
+                            eval.AnswersCovered(std_.body, body_vars));
       witnesses.assign(answers.tuples().begin(), answers.tuples().end());
       std::sort(witnesses.begin(), witnesses.end(),
                 [](TupleRef a, TupleRef b) { return a < b; });
@@ -226,7 +230,7 @@ Result<CanonicalSolution> Chase(const Mapping& mapping, const Instance& source,
                  " of ", mapping.stds().size(), " brings the total to ",
                  fired));
     }
-    minted += witnesses.size() * exist_vars.size();
+    minted += witnesses.size() * cs.exist_vars.size();
     if (minted > ctx.budget.chase_max_nulls) {
       if (ctx.stats != nullptr) ++ctx.stats->chase_budget_trips;
       return Status::ResourceExhausted(
@@ -235,16 +239,11 @@ Result<CanonicalSolution> Chase(const Mapping& mapping, const Instance& source,
                  mapping.stds().size(), " brings the total to ", minted));
     }
 
-    auto shared_vars =
-        std::make_shared<const std::vector<std::string>>(body_vars);
     if (ctx.indexed()) {
-      OCDX_RETURN_IF_ERROR(
-          FireCompiled(std_, i, shared_vars, exist_vars, witnesses, universe,
-                       &out));
+      FireCompiled(std_, cs, i, witnesses, universe, &out);
     } else {
       OCDX_RETURN_IF_ERROR(
-          FireNaive(std_, i, shared_vars, exist_vars, witnesses, universe,
-                    &out));
+          FireNaive(std_, cs, i, witnesses, universe, &out));
     }
     if (ctx.stats != nullptr) ctx.stats->chase_triggers += witnesses.size();
   }

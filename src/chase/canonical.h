@@ -13,6 +13,11 @@
 // and by Corollary 2 all certain-answer computation reduces to this one
 // polynomial-time-computable instance. The chase is therefore the load-
 // bearing substrate of the whole library.
+//
+// The chase runs a plan::CompiledMapping (plan/compiled_mapping.h): the
+// mapping is validated and its per-STD analysis done once, so a caller
+// that chases one mapping over many instances — composition chases Delta
+// over every intermediate J — pays for it once, not per chase.
 
 #ifndef OCDX_CHASE_CANONICAL_H_
 #define OCDX_CHASE_CANONICAL_H_
@@ -24,6 +29,7 @@
 #include "base/instance.h"
 #include "logic/engine_context.h"
 #include "mapping/mapping.h"
+#include "plan/compiled_mapping.h"
 #include "util/status.h"
 
 namespace ocdx {
@@ -40,9 +46,10 @@ namespace ocdx {
 /// of 1 + #existential-variables heap vectors.
 struct ChaseTrigger {
   int std_index = -1;
-  /// Order of the body's free variables for `witness`; shared across all
-  /// firings of one STD (the chase mints thousands of triggers, so each
-  /// one must not copy the variable names).
+  /// Order of the body's free variables for `witness`: the compiled
+  /// STD's plan::CompiledStd::body_vars, shared by every firing of that
+  /// STD in every chase with the same CompiledMapping (the chase mints
+  /// thousands of triggers, so each one must not copy the names).
   std::shared_ptr<const std::vector<std::string>> var_order;
   /// The satisfying assignment (a-bar, b-bar) of the body.
   WitnessRef witness;
@@ -62,11 +69,21 @@ struct CanonicalSolution {
   Instance Plain() const { return annotated.RelPart(); }
 };
 
-/// Chases `source` with `mapping` (which must not be Skolemized; use
-/// skolem::SolveSkolem for SkSTDs). Fresh nulls are minted in `*universe`.
+/// Chases `source` with a compiled mapping (plan::CompileMapping, which
+/// rejects Skolemized mappings; use skolem::SolveSkolem for SkSTDs).
+/// Fresh nulls are minted in `*universe`. Only `source` is validated
+/// here — the mapping was validated when it was compiled — so callers
+/// that chase one mapping over many instances (composition's
+/// intermediates) compile once and call this per instance.
 ///
 /// Deterministic: STDs fire in order; witnesses fire in sorted Value
 /// order, independent of the engine mode in `ctx`.
+Result<CanonicalSolution> Chase(
+    const plan::CompiledMapping& mapping, const Instance& source,
+    Universe* universe, const EngineContext& ctx = EngineContext());
+
+/// Compiles `mapping` (a validation failure is returned as is) and
+/// chases with it: for one-off chases.
 Result<CanonicalSolution> Chase(
     const Mapping& mapping, const Instance& source, Universe* universe,
     const EngineContext& ctx = EngineContext());

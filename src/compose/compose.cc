@@ -2,10 +2,12 @@
 
 #include <memory>
 #include <set>
+#include <utility>
 #include <vector>
 
 #include "chase/canonical.h"
 #include "logic/budget.h"
+#include "plan/compiled_mapping.h"
 #include "semantics/iso_enum.h"
 #include "semantics/membership.h"
 #include "semantics/solutions.h"
@@ -57,6 +59,24 @@ size_t CountOpenTemplates(const AnnotatedInstance& t) {
   return k;
 }
 
+// Is W in [[J]]_Delta? InSolutionSpace's two paths, without its
+// per-call ground check on W (InComposition checks W once, up front).
+Result<bool> InDeltaSpace(const plan::CompiledMapping& delta,
+                          const Instance& j, const Instance& target,
+                          Universe* universe, const RepAOptions& repa,
+                          const EngineContext& ctx) {
+  if (delta.all_open()) {
+    // Theorem 2: all-open Delta, so W in [[J]] iff (J, W) |= Delta.
+    return SatisfiesStds(delta, j, target, *universe, ctx);
+  }
+  OCDX_ASSIGN_OR_RETURN(CanonicalSolution csol,
+                        Chase(delta, j, universe, ctx));
+  OCDX_ASSIGN_OR_RETURN(MembershipResult res,
+                        InSolutionSpaceGiven(csol.annotated, target, repa,
+                                             ctx));
+  return res.member;
+}
+
 }  // namespace
 
 Result<ComposeVerdict> InComposition(const Mapping& sigma,
@@ -66,8 +86,13 @@ Result<ComposeVerdict> InComposition(const Mapping& sigma,
                                      Universe* universe,
                                      ComposeOptions options,
                                      const EngineContext& ctx) {
-  OCDX_RETURN_IF_ERROR(sigma.Validate());
-  OCDX_RETURN_IF_ERROR(delta.Validate());
+  // Both mappings compile (and so validate) once per decision; Delta's
+  // compiled form is then shared, read-only, by every intermediate check
+  // below, shard visitors included.
+  OCDX_ASSIGN_OR_RETURN(plan::CompiledMapping sigma_c,
+                        plan::CompileMapping(sigma, ctx));
+  OCDX_ASSIGN_OR_RETURN(plan::CompiledMapping delta_c,
+                        plan::CompileMapping(delta, ctx));
   if (!source.IsGround() || !target.IsGround()) {
     return Status::InvalidArgument(
         "composition membership is defined for ground instances");
@@ -95,7 +120,7 @@ Result<ComposeVerdict> InComposition(const Mapping& sigma,
   call_ctx.EnsureCache();
 
   OCDX_ASSIGN_OR_RETURN(CanonicalSolution csol,
-                        Chase(sigma, source, universe, call_ctx));
+                        Chase(sigma_c, source, universe, call_ctx));
   std::vector<Value> fixed = FixedConstants(csol.annotated, delta, target);
 
   ComposeVerdict out;
@@ -113,11 +138,18 @@ Result<ComposeVerdict> InComposition(const Mapping& sigma,
                      ? "valuation enumeration (all-closed Sigma, NP)"
                      : "valuation enumeration (monotone all-open Delta, "
                        "Lemma 3 / Cor 4, NP)";
-    // Requirement formulas built once: the plan cache keys on formula
-    // identity, so per-J construction would recompile per intermediate.
-    const std::vector<FormulaPtr> delta_reqs =
-        delta_monotone_open ? StdRequirements(delta) : std::vector<FormulaPtr>{};
     ValuationEnumerator en(csol.annotated.Nulls(), fixed, universe);
+    // J = v(CSol(S)) is written into one set of relations, cleared and
+    // refilled per valuation, as HomSearch reuses its scratch image.
+    // CSol(S) declares every relation of sigma's target schema (Chase
+    // pre-declares them), which is Delta's source schema.
+    const Instance csol_plain = csol.annotated.RelPart();
+    Instance j;
+    std::vector<std::pair<const Relation*, Relation*>> fill;
+    for (const auto& [name, rel] : csol_plain.relations()) {
+      fill.emplace_back(&rel, &j.GetOrCreate(name, rel.arity()));
+    }
+    Tuple image;
     // One deadline/cancellation poll per intermediate J (logic/budget.h):
     // the valuation space is exponential in the null count, so the loop
     // itself must be governed, not just the membership checks inside it.
@@ -126,26 +158,20 @@ Result<ComposeVerdict> InComposition(const Mapping& sigma,
     while (en.Next(&v)) {
       OCDX_RETURN_IF_ERROR(gauge.Tick());
       ++out.intermediates_checked;
-      Instance j = v.ApplyRelPart(csol.annotated);
-      for (const RelationDecl& d : sigma.target().decls()) {
-        j.GetOrCreate(d.name, d.arity());
+      for (const auto& [src, dst] : fill) {
+        dst->Clear();
+        for (TupleRef t : src->tuples()) {
+          image.resize(t.size());
+          for (size_t p = 0; p < t.size(); ++p) image[p] = v.Apply(t[p]);
+          dst->Add(image);
+        }
       }
-      if (delta_monotone_open) {
-        OCDX_ASSIGN_OR_RETURN(
-            bool ok,
-            SatisfiesStds(delta, delta_reqs, j, target, *universe, call_ctx));
-        if (ok) {
-          out.member = true;
-          return out;
-        }
-      } else {
-        OCDX_ASSIGN_OR_RETURN(
-            MembershipResult res,
-            InSolutionSpace(delta, j, target, universe, options.repa, call_ctx));
-        if (res.member) {
-          out.member = true;
-          return out;
-        }
+      OCDX_ASSIGN_OR_RETURN(
+          bool member,
+          InDeltaSpace(delta_c, j, target, universe, options.repa, call_ctx));
+      if (member) {
+        out.member = true;
+        return out;
       }
     }
     out.member = false;
@@ -158,10 +184,10 @@ Result<ComposeVerdict> InComposition(const Mapping& sigma,
   // Lemma 2 applied to the conjunction of Delta's rule bodies.
   uint64_t k = 0;
   size_t arity_total = 0;
-  for (const AnnotatedStd& std_ : delta.stds()) {
-    k += static_cast<uint64_t>(QuantifierRank(std_.body)) +
-         FreeVars(std_.body).size();
-    arity_total += FreeVars(std_.body).size();
+  for (size_t i = 0; i < delta.stds().size(); ++i) {
+    const size_t arity = delta_c.stds()[i].body_vars->size();
+    k += static_cast<uint64_t>(QuantifierRank(delta.stds()[i].body)) + arity;
+    arity_total += arity;
   }
   uint64_t paper_bound =
       SatShift(std::max<uint64_t>(1, k + arity_total),
@@ -195,7 +221,7 @@ Result<ComposeVerdict> InComposition(const Mapping& sigma,
         state->target_copy = target;
         Universe* su = shard.universe;
         const EngineContext* sctx = shard.ctx;
-        return [state, su, sctx, &sigma, &delta, &options](
+        return [state, su, sctx, &sigma, &delta_c, &options](
                    const Instance& j_raw) -> Result<bool> {
           ++state->checked;
           Instance j = j_raw;
@@ -203,10 +229,9 @@ Result<ComposeVerdict> InComposition(const Mapping& sigma,
             j.GetOrCreate(d.name, d.arity());
           }
           OCDX_ASSIGN_OR_RETURN(
-              MembershipResult res,
-              InSolutionSpace(delta, j, state->target_copy, su, options.repa,
-                              *sctx));
-          if (res.member) {
+              bool member, InDeltaSpace(delta_c, j, state->target_copy, su,
+                                        options.repa, *sctx));
+          if (member) {
             state->found = true;
             return false;  // First success: stop every shard.
           }

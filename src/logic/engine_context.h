@@ -64,6 +64,10 @@ struct EngineStats {
   uint64_t hom_steps = 0;       ///< Homomorphism-search work units.
   uint64_t repa_steps = 0;      ///< RepA-search work units.
   uint64_t plan_compiles = 0;   ///< CompiledQuery constructions (src/plan).
+  /// CompiledMapping constructions (plan::CompileMapping): one per chase
+  /// or STD check of a plain mapping, one per mapping per composition
+  /// decision.
+  uint64_t mapping_compiles = 0;
   /// Lookups on the context's own plan table (EngineContext::plan_cache)
   /// served from a published plan.
   uint64_t plan_cache_hits = 0;
@@ -123,7 +127,7 @@ struct EngineStats {
   /// it when adding a counter or timer — the static_assert below fails
   /// otherwise — and extend operator+= and the src/obs/report.cc field
   /// table in the same change (each is pinned by its own check).
-  static constexpr size_t kU64Fields = 32;
+  static constexpr size_t kU64Fields = 33;
 
   EngineStats& operator+=(const EngineStats& o) {
     cq_plans += o.cq_plans;
@@ -133,6 +137,7 @@ struct EngineStats {
     hom_steps += o.hom_steps;
     repa_steps += o.repa_steps;
     plan_compiles += o.plan_compiles;
+    mapping_compiles += o.mapping_compiles;
     plan_cache_hits += o.plan_cache_hits;
     plan_cache_misses += o.plan_cache_misses;
     guard_depth_fallbacks += o.guard_depth_fallbacks;

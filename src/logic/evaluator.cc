@@ -101,6 +101,11 @@ Result<Relation> Evaluator::Answers(const FormulaPtr& f,
           StrCat("free variable '", v, "' missing from output order"));
     }
   }
+  return AnswersCovered(f, order);
+}
+
+Result<Relation> Evaluator::AnswersCovered(
+    const FormulaPtr& f, const std::vector<std::string>& order) {
   // Fast path: safe conjunctive queries evaluate by index-driven joins
   // instead of domain^k enumeration (rule bodies are usually CQs). The
   // context's mode selects the compiled/indexed plan, the preserved naive

@@ -59,6 +59,12 @@ class Evaluator {
   Result<Relation> Answers(const FormulaPtr& f,
                            const std::vector<std::string>& free_order);
 
+  /// As Answers, for an order the caller already knows covers
+  /// FreeVars(f) — a compiled STD body's body variables
+  /// (plan/compiled_mapping.h) — so the per-call check is skipped.
+  Result<Relation> AnswersCovered(const FormulaPtr& f,
+                                  const std::vector<std::string>& free_order);
+
   /// The evaluation domain for `f`: active domain + constants of f +
   /// extras, deduplicated.
   std::vector<Value> Domain(const FormulaPtr& f) const;

@@ -16,6 +16,7 @@ constexpr StatsField kFields[] = {
     {"hom_steps", &EngineStats::hom_steps, false},
     {"repa_steps", &EngineStats::repa_steps, false},
     {"plan_compiles", &EngineStats::plan_compiles, false},
+    {"mapping_compiles", &EngineStats::mapping_compiles, false},
     {"plan_cache_hits", &EngineStats::plan_cache_hits, false},
     {"plan_cache_misses", &EngineStats::plan_cache_misses, false},
     {"guard_depth_fallbacks", &EngineStats::guard_depth_fallbacks, false},

@@ -11,8 +11,8 @@
 // never alias a dead entry), and (b) the entry's (schema fingerprint,
 // engine mode, boolean/answers convention, output order or prebound
 // names) all agree. Callers that mint throwaway formulas per call should
-// hoist them (see StdRequirements in semantics/solutions.h) so
-// identities stay stable.
+// hoist them (as plan::CompileMapping builds each STD's requirement
+// formula once, plan/compiled_mapping.h) so identities stay stable.
 //
 // Append-only and thread-safe:
 //   - *Probe* is lock-free: published entries are scanned through a

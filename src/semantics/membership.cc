@@ -11,12 +11,23 @@ Result<MembershipResult> InSolutionSpace(const Mapping& mapping,
                                          Universe* universe,
                                          RepAOptions options,
                                          const EngineContext& ctx) {
+  OCDX_ASSIGN_OR_RETURN(plan::CompiledMapping compiled,
+                        plan::CompileMapping(mapping, ctx));
+  return InSolutionSpace(compiled, source, target, universe, options, ctx);
+}
+
+Result<MembershipResult> InSolutionSpace(const plan::CompiledMapping& mapping,
+                                         const Instance& source,
+                                         const Instance& target,
+                                         Universe* universe,
+                                         RepAOptions options,
+                                         const EngineContext& ctx) {
   if (!target.IsGround()) {
     return Status::InvalidArgument(
         "solution-space membership is defined for ground targets");
   }
   MembershipResult out;
-  if (mapping.IsAllOpen()) {
+  if (mapping.all_open()) {
     // Theorem 2: with the all-open annotation, T in [[S]] iff (S,T) |= Sigma.
     out.used_ptime_path = true;
     OCDX_ASSIGN_OR_RETURN(

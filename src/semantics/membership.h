@@ -12,6 +12,7 @@
 #include "base/instance.h"
 #include "logic/engine_context.h"
 #include "mapping/mapping.h"
+#include "plan/compiled_mapping.h"
 #include "semantics/repa.h"
 #include "util/status.h"
 
@@ -25,7 +26,16 @@ struct MembershipResult {
   Valuation witness;
 };
 
-/// Is `target` (ground) in [[source]]_{Sigma_alpha}?
+/// Is `target` (ground) in [[source]]_{Sigma_alpha}? Takes the compiled
+/// mapping (plan::CompileMapping), so deciding many (S, T) pairs against
+/// one mapping validates and analyses it once.
+Result<MembershipResult> InSolutionSpace(
+    const plan::CompiledMapping& mapping, const Instance& source,
+    const Instance& target, Universe* universe, RepAOptions options = {},
+    const EngineContext& ctx = EngineContext());
+
+/// Compiles `mapping` (a validation failure is returned as is), then
+/// decides as above: for one-off checks.
 Result<MembershipResult> InSolutionSpace(
     const Mapping& mapping, const Instance& source, const Instance& target,
     Universe* universe, RepAOptions options = {},

@@ -1,6 +1,6 @@
 #include "semantics/solutions.h"
 
-#include <algorithm>
+#include <optional>
 
 #include "logic/cq_eval.h"
 #include "logic/evaluator.h"
@@ -8,46 +8,29 @@
 
 namespace ocdx {
 
-std::vector<FormulaPtr> StdRequirements(const Mapping& mapping) {
-  std::vector<FormulaPtr> out;
-  out.reserve(mapping.stds().size());
-  for (const AnnotatedStd& std_ : mapping.stds()) {
-    // Head requirement: exists z-bar . conjunction of head atoms.
-    std::vector<FormulaPtr> atoms;
-    atoms.reserve(std_.head.size());
-    for (const HeadAtom& atom : std_.head) {
-      atoms.push_back(Formula::Atom(atom.rel, atom.terms));
-    }
-    out.push_back(Formula::Exists(std_.ExistentialVars(),
-                                  Formula::And(std::move(atoms))));
-  }
-  return out;
-}
-
 Result<bool> SatisfiesStds(const Mapping& mapping, const Instance& source,
                            const Instance& target, const Universe& universe,
                            const EngineContext& ctx) {
-  return SatisfiesStds(mapping, StdRequirements(mapping), source, target,
-                       universe, ctx);
+  OCDX_ASSIGN_OR_RETURN(plan::CompiledMapping compiled,
+                        plan::CompileMapping(mapping, ctx));
+  return SatisfiesStds(compiled, source, target, universe, ctx);
 }
 
-Result<bool> SatisfiesStds(const Mapping& mapping,
-                           const std::vector<FormulaPtr>& requirements,
+Result<bool> SatisfiesStds(const plan::CompiledMapping& mapping,
                            const Instance& source, const Instance& target,
                            const Universe& universe,
                            const EngineContext& ctx) {
   // No per-call cache setup here: SatisfiesStds is an *inner* step of
   // the enumeration drivers (composition intermediates, membership
-  // candidates), which attach one plan cache up front, precompute the
-  // requirement formulas (StdRequirements — the cache keys on formula
-  // identity) and reuse both across calls. With an uncached context each
-  // call compiles privately.
+  // candidates), which attach one plan cache up front and compile the
+  // mapping once (the cache keys on the requirement formulas' identity).
+  // With an uncached context each call compiles its plans privately.
   Evaluator source_eval(source, universe, ctx);
   Evaluator target_eval(target, universe, ctx);
   for (size_t i = 0; i < mapping.stds().size(); ++i) {
-    const AnnotatedStd& std_ = mapping.stds()[i];
-    const FormulaPtr& requirement = requirements[i];
-    const std::vector<std::string> body_vars = std_.BodyVars();
+    const AnnotatedStd& std_ = mapping.mapping().stds()[i];
+    const plan::CompiledStd& cs = mapping.stds()[i];
+    const std::vector<std::string>& body_vars = *cs.body_vars;
 
     Relation answers(body_vars.size());
     std::vector<TupleRef> witnesses;
@@ -55,7 +38,8 @@ Result<bool> SatisfiesStds(const Mapping& mapping,
       OCDX_ASSIGN_OR_RETURN(bool holds, source_eval.Holds(std_.body));
       if (holds) witnesses.push_back(TupleRef{});
     } else {
-      OCDX_ASSIGN_OR_RETURN(answers, source_eval.Answers(std_.body, body_vars));
+      OCDX_ASSIGN_OR_RETURN(answers,
+                            source_eval.AnswersCovered(std_.body, body_vars));
       witnesses.assign(answers.tuples().begin(), answers.tuples().end());
     }
     if (witnesses.empty()) continue;
@@ -65,41 +49,26 @@ Result<bool> SatisfiesStds(const Mapping& mapping,
     // requirement's answer set over T — one compiled join plus hashed
     // containment instead of a (re-compiled) Holds call per witness. The
     // naive engine keeps the per-witness loop as the benchable baseline.
-    const std::vector<std::string> req_vars = FreeVars(requirement);
+    const std::vector<std::string>& req_vars = cs.requirement_vars;
     if (ctx.indexed() && !body_vars.empty() && !req_vars.empty()) {
       std::optional<Relation> req_answers =
-          TryEvalCQ(requirement, req_vars, target, ctx);
+          TryEvalCQ(cs.requirement, req_vars, target, ctx);
       if (req_answers.has_value()) {
-        std::vector<size_t> proj(req_vars.size());
-        bool proj_ok = true;
-        for (size_t i = 0; i < req_vars.size(); ++i) {
-          auto it = std::find(body_vars.begin(), body_vars.end(), req_vars[i]);
-          if (it == body_vars.end()) {
-            proj_ok = false;  // Unreachable: head free vars are body vars.
-            break;
+        Tuple key(req_vars.size());
+        for (TupleRef w : witnesses) {
+          for (size_t k = 0; k < key.size(); ++k) {
+            key[k] = w[cs.requirement_proj[k]];
           }
-          proj[i] = static_cast<size_t>(it - body_vars.begin());
+          if (!req_answers->Contains(key)) return false;
         }
-        if (proj_ok) {
-          Tuple key(req_vars.size());
-          bool all_in = true;
-          for (TupleRef w : witnesses) {
-            for (size_t i = 0; i < proj.size(); ++i) key[i] = w[proj[i]];
-            if (!req_answers->Contains(key)) {
-              all_in = false;
-              break;
-            }
-          }
-          if (!all_in) return false;
-          continue;
-        }
+        continue;
       }
     }
 
     for (TupleRef w : witnesses) {
       Env env;
-      for (size_t i = 0; i < body_vars.size(); ++i) env[body_vars[i]] = w[i];
-      OCDX_ASSIGN_OR_RETURN(bool ok, target_eval.Holds(requirement, env));
+      for (size_t k = 0; k < body_vars.size(); ++k) env[body_vars[k]] = w[k];
+      OCDX_ASSIGN_OR_RETURN(bool ok, target_eval.Holds(cs.requirement, env));
       if (!ok) return false;
     }
   }

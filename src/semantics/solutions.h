@@ -9,6 +9,10 @@
 //     *expansion* of CSolA(S).
 // The two classical notions are the all-open / all-closed extremes
 // (Theorem 1, items 1-2).
+//
+// The STD check (S, T) |= Sigma runs on a plan::CompiledMapping, whose
+// per-STD requirement formula "exists z-bar . head" and its projection
+// onto the body variables are built once per mapping, not per check.
 
 #ifndef OCDX_SEMANTICS_SOLUTIONS_H_
 #define OCDX_SEMANTICS_SOLUTIONS_H_
@@ -17,31 +21,27 @@
 #include "chase/canonical.h"
 #include "logic/engine_context.h"
 #include "mapping/mapping.h"
+#include "plan/compiled_mapping.h"
 #include "util/status.h"
 
 namespace ocdx {
 
 /// Does (S, T) |= Sigma? T may contain nulls; they are treated as atomic
 /// values (naive semantics), exactly as in the paper's definition of
-/// OWA-solutions.
-Result<bool> SatisfiesStds(const Mapping& mapping, const Instance& source,
-                           const Instance& target, const Universe& universe,
-                           const EngineContext& ctx = EngineContext());
-
-/// The head-requirement sentences "exists z-bar . head atoms" of the
-/// mapping's STDs, in STD order. Callers that check SatisfiesStds
-/// repeatedly (the enumeration drivers' per-candidate loops) build this
-/// once and use the overload below: the plan cache is keyed on formula
-/// *identity*, so per-call formula construction would compile the same
-/// requirement once per candidate instead of once.
-std::vector<FormulaPtr> StdRequirements(const Mapping& mapping);
-
-/// As SatisfiesStds, with the requirement formulas precomputed by
-/// StdRequirements (must be for the same mapping).
-Result<bool> SatisfiesStds(const Mapping& mapping,
-                           const std::vector<FormulaPtr>& requirements,
+/// OWA-solutions. Takes the compiled mapping (plan::CompileMapping):
+/// callers that check many (S, T) pairs against one mapping — the
+/// Theorem 2 membership candidates, composition's intermediates — compile
+/// once, so each STD's head-requirement formula is built once and the
+/// identity-keyed plan table compiles it once.
+Result<bool> SatisfiesStds(const plan::CompiledMapping& mapping,
                            const Instance& source, const Instance& target,
                            const Universe& universe,
+                           const EngineContext& ctx = EngineContext());
+
+/// Compiles `mapping` (a validation failure is returned as is), then
+/// checks as above: for one-off checks.
+Result<bool> SatisfiesStds(const Mapping& mapping, const Instance& source,
+                           const Instance& target, const Universe& universe,
                            const EngineContext& ctx = EngineContext());
 
 /// Is T an OWA-solution for S under the mapping? (= SatisfiesStds.)

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <deque>
+#include <optional>
 #include <span>
 #include <string_view>
 #include <tuple>
@@ -13,6 +14,7 @@
 #include "logic/budget.h"
 #include "logic/classify.h"
 #include "plan/compile.h"
+#include "plan/compiled_mapping.h"
 #include "semantics/membership.h"
 #include "semantics/repa.h"
 #include "semantics/solutions.h"
@@ -611,11 +613,15 @@ Result<std::string> MembershipText(const DxScenario& sc, Universe* u,
       const bool skolem = m.mapping.IsSkolemized();
       const bool all_open = m.mapping.IsAllOpen();
       std::optional<CanonicalSolution> csol;
-      // All-open requirement formulas built once per (mapping, source):
-      // the plan cache keys on formula identity, so the per-candidate
-      // Theorem 2 checks below reuse one compiled plan per STD.
-      std::vector<FormulaPtr> reqs;
-      if (!skolem && all_open) reqs = StdRequirements(m.mapping);
+      // All-open: the mapping compiles once per (mapping, source), so the
+      // per-candidate Theorem 2 checks below share its requirement
+      // formulas (the plan cache keys on formula identity) and reuse one
+      // compiled plan per STD.
+      std::optional<plan::CompiledMapping> compiled;
+      if (!skolem && all_open) {
+        OCDX_ASSIGN_OR_RETURN(compiled,
+                              plan::CompileMapping(m.mapping, options.engine));
+      }
       if (!skolem && !all_open) {
         Result<CanonicalSolution> chased = ChaseOrReuse(m, s, u, options);
         if (!chased.ok()) {
@@ -654,9 +660,9 @@ Result<std::string> MembershipText(const DxScenario& sc, Universe* u,
         if (all_open) {
           // Theorem 2: with the all-open annotation, T in [[S]] iff
           // (S,T) |= Sigma — the same check InSolutionSpace would make,
-          // with the hoisted requirement formulas.
-          Result<bool> sat = SatisfiesStds(m.mapping, reqs, s.plain, t.plain,
-                                           *u, options.engine);
+          // with the mapping compiled once above.
+          Result<bool> sat = SatisfiesStds(*compiled, s.plain, t.plain, *u,
+                                           options.engine);
           if (!sat.ok()) {
             OCDX_RETURN_IF_ERROR(candidate_error(sat.status()));
             continue;

@@ -1,11 +1,16 @@
 // Tests for semantic composition (Theorem 4, Table 1): the NP paths, the
-// 3-colorability reduction, Lemma 3 / Corollary 4, and Proposition 6's
-// non-composability witness family.
+// 3-colorability reduction, Lemma 3 / Corollary 4, Proposition 6's
+// non-composability witness family, and the compile-once contract for
+// the mappings (plan/compiled_mapping.h).
 
 #include <gtest/gtest.h>
 
+#include <fstream>
+#include <sstream>
+
 #include "compose/compose.h"
 #include "mapping/rule_parser.h"
+#include "text/dx_parser.h"
 #include "workloads/coloring.h"
 #include "workloads/scenarios.h"
 
@@ -185,6 +190,185 @@ TEST_F(ComposeTest, OpenSigmaGeneralPathFindsWitness) {
   ComposeVerdict v2 = MustDecide(sigma_cl.value(), delta.value(), s, w, opts);
   EXPECT_FALSE(v2.member);
   EXPECT_TRUE(v2.exhaustive);
+}
+
+// The general path (Sigma with an open position) at several shard counts:
+// the shard visitors share one compiled Delta, read-only, so the verdicts
+// must not depend on the fan-out.
+TEST_F(ComposeTest, GeneralPathVerdictsAgreeAcrossShards) {
+  Schema src, tau, omega;
+  src.Add("E", 1);
+  tau.Add("F", 2);
+  omega.Add("P", 2);
+  Result<Mapping> sigma =
+      ParseMapping("F(x^cl, z^op) :- E(x);", src, tau, &u_);
+  Result<Mapping> delta = ParseMapping(
+      "P(y^cl, y2^cl) :- F(x, y) & F(x, y2) & !(y = y2);", tau, omega, &u_);
+  ASSERT_TRUE(sigma.ok());
+  ASSERT_TRUE(delta.ok());
+  Instance s;
+  s.Add("E", {u_.Const("a")});
+  // Reachable by replicating the open null; and not reachable, because a
+  // closed Delta emits both directions of every pair.
+  Instance both;
+  both.Add("P", {u_.Const("u"), u_.Const("v")});
+  both.Add("P", {u_.Const("v"), u_.Const("u")});
+  Instance one_way;
+  one_way.Add("P", {u_.Const("u"), u_.Const("v")});
+
+  ComposeOptions opts;
+  opts.enum_options.fresh_pool = 2;
+  for (const Instance* w : {&both, &one_way}) {
+    std::optional<ComposeVerdict> baseline;
+    for (size_t shards : {size_t{1}, size_t{4}, size_t{8}}) {
+      EngineStats stats;
+      EngineContext ctx;
+      ctx.shards = shards;
+      ctx.stats = &stats;
+      Result<ComposeVerdict> r =
+          InComposition(sigma.value(), delta.value(), s, *w, &u_, opts, ctx);
+      ASSERT_TRUE(r.ok()) << r.status().ToString();
+      EXPECT_NE(r.value().method.find("Thm 4.2"), std::string::npos);
+      EXPECT_EQ(stats.enum_shard_runs, shards > 1 ? 1u : 0u)
+          << "shards=" << shards;
+      if (!baseline.has_value()) {
+        baseline = r.value();
+        continue;
+      }
+      EXPECT_EQ(r.value().member, baseline->member) << "shards=" << shards;
+      EXPECT_EQ(r.value().exhaustive, baseline->exhaustive)
+          << "shards=" << shards;
+      if (!baseline->member) {
+        // No early stop: every shard runs to the end, so together they
+        // visit exactly the sequential run's members.
+        EXPECT_EQ(r.value().intermediates_checked,
+                  baseline->intermediates_checked)
+            << "shards=" << shards;
+      }
+    }
+    EXPECT_EQ(baseline->member, w == &both);
+  }
+}
+
+// --- Compile once per decision ------------------------------------------------
+
+// Sigma and Delta compile once each per decision, however many
+// intermediates Delta is then checked over — through the chase + RepA
+// path (closed Delta) and the (J, W) |= Delta path (open Delta).
+TEST_F(ComposeTest, CompilesDeltaOncePerDecision) {
+  for (Ann delta_ann : {Ann::kClosed, Ann::kOpen}) {
+    Result<ColoringReduction> red =
+        BuildColoringReduction(CompleteGraph(4), &u_, delta_ann);
+    ASSERT_TRUE(red.ok());
+    EngineStats stats;
+    EngineContext ctx;
+    ctx.stats = &stats;
+    Result<ComposeVerdict> v =
+        InComposition(red.value().sigma, red.value().delta,
+                      red.value().source, red.value().target, &u_, {}, ctx);
+    ASSERT_TRUE(v.ok()) << v.status().ToString();
+    EXPECT_FALSE(v.value().member);
+    EXPECT_GT(v.value().intermediates_checked, 100u);
+    EXPECT_EQ(stats.mapping_compiles, 2u) << AnnToString(delta_ann);
+  }
+}
+
+// intermediates_checked is never printed, so only this pin shows which
+// representatives a decision visits. The counts were recorded at
+// shards = 1 with each J built as a fresh Instance (Valuation::
+// ApplyRelPart); writing J into reused relations must not change them.
+TEST_F(ComposeTest, IntermediatesCheckedIsPinned) {
+  auto checked = [&](const Mapping& sigma, const Mapping& delta,
+                     const Instance& s, const Instance& w,
+                     ComposeOptions opts = {}) {
+    return MustDecide(sigma, delta, s, w, opts).intermediates_checked;
+  };
+
+  {
+    std::ifstream in(std::string(OCDX_CORPUS_DIR) + "/composition.dx");
+    std::stringstream text;
+    text << in.rdbuf();
+    Result<DxScenario> sc = ParseDxScenario(text.str(), &u_);
+    ASSERT_TRUE(sc.ok()) << sc.status().ToString();
+    const DxScenario& d = sc.value();
+    ASSERT_NE(d.FindMapping("Sigma"), nullptr);
+    ASSERT_NE(d.FindMapping("Delta"), nullptr);
+    ASSERT_NE(d.FindInstance("S"), nullptr);
+    ASSERT_NE(d.FindInstance("W"), nullptr);
+    EXPECT_EQ(checked(d.FindMapping("Sigma")->mapping,
+                      d.FindMapping("Delta")->mapping,
+                      d.FindInstance("S")->plain, d.FindInstance("W")->plain),
+              1u);
+  }
+
+  for (size_t n : {size_t{3}, size_t{4}}) {
+    Result<ColoringReduction> red =
+        BuildColoringReduction(CompleteGraph(n), &u_);
+    ASSERT_TRUE(red.ok());
+    EXPECT_EQ(checked(red.value().sigma, red.value().delta,
+                      red.value().source, red.value().target),
+              n == 3 ? 137u : 4516u)
+        << "K" << n;
+  }
+
+  // ColoringSweep's graphs; both annotations of Delta visit the same
+  // representatives.
+  const uint64_t kSweep[8] = {123, 595, 180, 66, 9, 595, 180, 1010};
+  for (int seed = 0; seed < 8; ++seed) {
+    Rng rng(1234 + seed);
+    Graph g = RandomGraph(4, 1, 2, &rng);
+    for (Ann delta_ann : {Ann::kClosed, Ann::kOpen}) {
+      Result<ColoringReduction> red =
+          BuildColoringReduction(g, &u_, delta_ann);
+      ASSERT_TRUE(red.ok());
+      EXPECT_EQ(checked(red.value().sigma, red.value().delta,
+                        red.value().source, red.value().target),
+                kSweep[seed])
+          << "graph seed " << seed << " delta_ann " << AnnToString(delta_ann);
+    }
+  }
+
+  Result<Prop6Scenario> p6 =
+      BuildProp6Scenario(3, Ann::kClosed, Ann::kClosed, &u_);
+  ASSERT_TRUE(p6.ok());
+  Instance full, partial, two_vals;
+  for (int i = 1; i <= 3; ++i) {
+    full.Add("Dr", {u_.IntConst(i), u_.Const("c")});
+    two_vals.Add("Dr", {u_.IntConst(i), u_.Const("c")});
+    two_vals.Add("Dr", {u_.IntConst(i), u_.Const("d")});
+  }
+  partial.Add("Dr", {u_.IntConst(1), u_.Const("c")});
+  EXPECT_EQ(checked(p6.value().sigma, p6.value().delta, p6.value().source,
+                    full),
+            4u);
+  EXPECT_EQ(checked(p6.value().sigma, p6.value().delta, p6.value().source,
+                    partial),
+            5u);
+  EXPECT_EQ(checked(p6.value().sigma, p6.value().delta, p6.value().source,
+                    two_vals),
+            6u);
+
+  // The general path (OpenSigmaGeneralPathFindsWitness's inputs).
+  Schema src, tau, omega;
+  src.Add("E", 1);
+  tau.Add("F", 2);
+  omega.Add("P", 2);
+  Result<Mapping> sigma =
+      ParseMapping("F(x^cl, z^op) :- E(x);", src, tau, &u_);
+  Result<Mapping> sigma_cl =
+      ParseMapping("F(x^cl, z^cl) :- E(x);", src, tau, &u_);
+  Result<Mapping> delta = ParseMapping(
+      "P(y^cl, y2^cl) :- F(x, y) & F(x, y2) & !(y = y2);", tau, omega, &u_);
+  ASSERT_TRUE(sigma.ok() && sigma_cl.ok() && delta.ok());
+  Instance s;
+  s.Add("E", {u_.Const("a")});
+  Instance w;
+  w.Add("P", {u_.Const("u"), u_.Const("v")});
+  w.Add("P", {u_.Const("v"), u_.Const("u")});
+  ComposeOptions opts;
+  opts.enum_options.fresh_pool = 2;
+  EXPECT_EQ(checked(sigma.value(), delta.value(), s, w, opts), 19u);
+  EXPECT_EQ(checked(sigma_cl.value(), delta.value(), s, w, opts), 4u);
 }
 
 // --- Input validation ---------------------------------------------------------

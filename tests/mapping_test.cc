@@ -2,8 +2,10 @@
 
 #include <gtest/gtest.h>
 
+#include "chase/canonical.h"
 #include "mapping/mapping.h"
 #include "mapping/rule_parser.h"
+#include "plan/compiled_mapping.h"
 
 namespace ocdx {
 namespace {
@@ -138,6 +140,89 @@ TEST_F(MappingTest, ParseErrors) {
   EXPECT_FALSE(ParseStd("T(x^banana) :- S(x)", &u_).ok());
   EXPECT_FALSE(ParseStd("T(x^cl)", &u_).ok());
   EXPECT_FALSE(ParseStd(":- S(x)", &u_).ok());
+}
+
+// Validation moved into plan::CompileMapping: every Mapping::Validate
+// failure above (and the two the rule parser cannot produce) must come
+// back unchanged — same code, same message — from CompileMapping and
+// from a chase, which compiles first.
+TEST_F(MappingTest, CompiledMappingValidationErrorParity) {
+  Schema sk_src, sk_tgt;
+  sk_src.Add("S", {"em", "proj"});
+  sk_tgt.Add("T", {"id", "em", "phone"});
+  struct Case {
+    const char* rule;
+    const Schema* source;
+    const Schema* target;
+  };
+  const Case cases[] = {
+      {"Nope(x^cl) :- Papers(x, y)", &source_, &target_},
+      {"Submissions(x^cl, z^op) :- Nope(x)", &source_, &target_},
+      {"Submissions(x^cl) :- Papers(x, y)", &source_, &target_},
+      {"T(f(em)^cl, em^cl, g(em, proj)^op) :- S(em, proj)", &sk_src,
+       &sk_tgt},
+  };
+  std::vector<Mapping> bad;
+  for (const Case& c : cases) {
+    Result<AnnotatedStd> std_ = ParseStd(c.rule, &u_);
+    ASSERT_TRUE(std_.ok()) << c.rule;
+    Mapping m(*c.source, *c.target);
+    m.AddStd(std_.value());
+    bad.push_back(std::move(m));
+  }
+  Result<AnnotatedStd> good =
+      ParseStd("Submissions(x^cl, z^op) :- Papers(x, y)", &u_);
+  ASSERT_TRUE(good.ok());
+  AnnotatedStd empty_head = good.value();
+  empty_head.head.clear();
+  AnnotatedStd short_ann = good.value();
+  short_ann.head[0].ann.pop_back();
+  for (AnnotatedStd* s : {&empty_head, &short_ann}) {
+    Mapping m(source_, target_);
+    m.AddStd(good.value());  // A valid STD first: the failure is STD #1.
+    m.AddStd(*s);
+    bad.push_back(std::move(m));
+  }
+
+  Instance source;
+  source.Add("Papers", {u_.Const("p1"), u_.Const("t1")});
+  for (const Mapping& m : bad) {
+    Status expected = m.Validate();
+    ASSERT_FALSE(expected.ok()) << m.ToString(u_);
+    Result<plan::CompiledMapping> compiled = plan::CompileMapping(m);
+    ASSERT_FALSE(compiled.ok()) << m.ToString(u_);
+    EXPECT_EQ(compiled.status(), expected) << compiled.status().ToString();
+    Result<CanonicalSolution> chased = Chase(m, source, &u_);
+    ASSERT_FALSE(chased.ok()) << m.ToString(u_);
+    EXPECT_EQ(chased.status(), expected) << chased.status().ToString();
+  }
+}
+
+// A compiled mapping keeps what the chase and the STD checks would
+// otherwise re-derive per call.
+TEST_F(MappingTest, CompiledMappingHoldsPerStdAnalysis) {
+  Result<Mapping> m = ParseMapping(kConferenceRules, source_, target_, &u_);
+  ASSERT_TRUE(m.ok()) << m.status().ToString();
+  EngineStats stats;
+  EngineContext ctx;
+  ctx.stats = &stats;
+  Result<plan::CompiledMapping> c = plan::CompileMapping(m.value(), ctx);
+  ASSERT_TRUE(c.ok()) << c.status().ToString();
+  EXPECT_EQ(stats.mapping_compiles, 1u);
+  EXPECT_FALSE(c.value().all_open());
+  ASSERT_EQ(c.value().stds().size(), m.value().stds().size());
+  for (size_t i = 0; i < m.value().stds().size(); ++i) {
+    const AnnotatedStd& s = m.value().stds()[i];
+    const plan::CompiledStd& cs = c.value().stds()[i];
+    EXPECT_EQ(*cs.body_vars, s.BodyVars());
+    EXPECT_EQ(cs.exist_vars, s.ExistentialVars());
+    EXPECT_EQ(cs.head_slots.size(), s.head.size());
+    // "exists z . head": the free variables are the head's body
+    // variables, here x, projected from its body position.
+    EXPECT_EQ(cs.requirement_vars, std::vector<std::string>{"x"});
+    ASSERT_EQ(cs.requirement_proj.size(), 1u);
+    EXPECT_EQ((*cs.body_vars)[cs.requirement_proj[0]], "x");
+  }
 }
 
 }  // namespace

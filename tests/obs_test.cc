@@ -25,6 +25,7 @@
 #include "plan/shared_plan_table.h"
 #include "snap/snapshot.h"
 #include "text/dx_driver.h"
+#include "util/str.h"
 
 namespace ocdx {
 namespace {
@@ -303,6 +304,33 @@ TEST(BatchSummary, SurfacesHitRateAndPhases) {
   EXPECT_NE(summary.find("plan cache hit rate:"), std::string::npos);
   EXPECT_NE(summary.find("guard_depth_fallbacks="), std::string::npos);
   EXPECT_NE(summary.find("batch: phase ms:"), std::string::npos);
+}
+
+// The summary's engine-stats line reads the field table, so every counter
+// (generic_steps and mapping_compiles included) reaches `ocdx batch`.
+TEST(BatchSummary, NamesEveryCounter) {
+  std::vector<std::string> files = CorpusFiles();
+  BatchOptions options;
+  options.command = "all";
+  Result<BatchReport> report = RunDxBatch(files, options);
+  ASSERT_TRUE(report.ok());
+  std::string summary = RenderBatchSummary(report.value(), options);
+  size_t line = summary.find("batch: engine stats:");
+  ASSERT_NE(line, std::string::npos) << summary;
+  std::string stats_line =
+      summary.substr(line, summary.find('\n', line) - line);
+  size_t counters = 0;
+  for (size_t i = 0; i < EngineStats::kU64Fields; ++i) {
+    const obs::StatsField& f = obs::StatsFields()[i];
+    if (f.is_ns) continue;
+    ++counters;
+    const std::string item =
+        StrCat(f.name, "=", report.value().stats.*(f.field));
+    EXPECT_NE(stats_line.find(" " + item), std::string::npos)
+        << item << " missing from: " << stats_line;
+  }
+  EXPECT_GT(counters, 0u);
+  EXPECT_GT(report.value().stats.mapping_compiles, 0u);
 }
 
 // ---------------------------------------------------------------------------
