@@ -160,8 +160,9 @@ void FireCompiled(const AnnotatedStd& std_, const plan::CompiledStd& cs,
 Result<CanonicalSolution> Chase(const Mapping& mapping, const Instance& source,
                                 Universe* universe,
                                 const EngineContext& ctx) {
-  OCDX_ASSIGN_OR_RETURN(plan::CompiledMapping compiled,
-                        plan::CompileMapping(mapping, ctx));
+  OCDX_ASSIGN_OR_RETURN(
+      plan::CompiledMapping compiled,
+      plan::CompileMapping(mapping, ctx, plan::MappingUse::kChase));
   return Chase(compiled, source, universe, ctx);
 }
 

@@ -59,24 +59,6 @@ size_t CountOpenTemplates(const AnnotatedInstance& t) {
   return k;
 }
 
-// Is W in [[J]]_Delta? InSolutionSpace's two paths, without its
-// per-call ground check on W (InComposition checks W once, up front).
-Result<bool> InDeltaSpace(const plan::CompiledMapping& delta,
-                          const Instance& j, const Instance& target,
-                          Universe* universe, const RepAOptions& repa,
-                          const EngineContext& ctx) {
-  if (delta.all_open()) {
-    // Theorem 2: all-open Delta, so W in [[J]] iff (J, W) |= Delta.
-    return SatisfiesStds(delta, j, target, *universe, ctx);
-  }
-  OCDX_ASSIGN_OR_RETURN(CanonicalSolution csol,
-                        Chase(delta, j, universe, ctx));
-  OCDX_ASSIGN_OR_RETURN(MembershipResult res,
-                        InSolutionSpaceGiven(csol.annotated, target, repa,
-                                             ctx));
-  return res.member;
-}
-
 }  // namespace
 
 Result<ComposeVerdict> InComposition(const Mapping& sigma,
@@ -88,9 +70,10 @@ Result<ComposeVerdict> InComposition(const Mapping& sigma,
                                      const EngineContext& ctx) {
   // Both mappings compile (and so validate) once per decision; Delta's
   // compiled form is then shared, read-only, by every intermediate check
-  // below, shard visitors included.
-  OCDX_ASSIGN_OR_RETURN(plan::CompiledMapping sigma_c,
-                        plan::CompileMapping(sigma, ctx));
+  // below, shard visitors included. Sigma is only chased.
+  OCDX_ASSIGN_OR_RETURN(
+      plan::CompiledMapping sigma_c,
+      plan::CompileMapping(sigma, ctx, plan::MappingUse::kChase));
   OCDX_ASSIGN_OR_RETURN(plan::CompiledMapping delta_c,
                         plan::CompileMapping(delta, ctx));
   if (!source.IsGround() || !target.IsGround()) {
@@ -166,10 +149,10 @@ Result<ComposeVerdict> InComposition(const Mapping& sigma,
           dst->Add(image);
         }
       }
-      OCDX_ASSIGN_OR_RETURN(
-          bool member,
-          InDeltaSpace(delta_c, j, target, universe, options.repa, call_ctx));
-      if (member) {
+      OCDX_ASSIGN_OR_RETURN(MembershipResult res,
+                            InSolutionSpace(delta_c, j, target, universe,
+                                            options.repa, call_ctx));
+      if (res.member) {
         out.member = true;
         return out;
       }
@@ -229,9 +212,10 @@ Result<ComposeVerdict> InComposition(const Mapping& sigma,
             j.GetOrCreate(d.name, d.arity());
           }
           OCDX_ASSIGN_OR_RETURN(
-              bool member, InDeltaSpace(delta_c, j, state->target_copy, su,
-                                        options.repa, *sctx));
-          if (member) {
+              MembershipResult res,
+              InSolutionSpace(delta_c, j, state->target_copy, su,
+                              options.repa, *sctx));
+          if (res.member) {
             state->found = true;
             return false;  // First success: stop every shard.
           }

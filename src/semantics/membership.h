@@ -28,7 +28,9 @@ struct MembershipResult {
 
 /// Is `target` (ground) in [[source]]_{Sigma_alpha}? Takes the compiled
 /// mapping (plan::CompileMapping), so deciding many (S, T) pairs against
-/// one mapping validates and analyses it once.
+/// one mapping validates and analyses it once. An all-open mapping is
+/// decided by SatisfiesStds, so it must be compiled with
+/// plan::MappingUse::kCheck (the default).
 Result<MembershipResult> InSolutionSpace(
     const plan::CompiledMapping& mapping, const Instance& source,
     const Instance& target, Universe* universe, RepAOptions options = {},

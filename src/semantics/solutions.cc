@@ -25,6 +25,10 @@ Result<bool> SatisfiesStds(const plan::CompiledMapping& mapping,
   // candidates), which attach one plan cache up front and compile the
   // mapping once (the cache keys on the requirement formulas' identity).
   // With an uncached context each call compiles its plans privately.
+  if (!mapping.checks_stds()) {
+    return Status::FailedPrecondition(
+        "SatisfiesStds needs a mapping compiled with MappingUse::kCheck");
+  }
   Evaluator source_eval(source, universe, ctx);
   Evaluator target_eval(target, universe, ctx);
   for (size_t i = 0; i < mapping.stds().size(); ++i) {

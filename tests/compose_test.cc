@@ -194,7 +194,10 @@ TEST_F(ComposeTest, OpenSigmaGeneralPathFindsWitness) {
 
 // The general path (Sigma with an open position) at several shard counts:
 // the shard visitors share one compiled Delta, read-only, so the verdicts
-// must not depend on the fan-out.
+// must not depend on the fan-out. A closed Delta sends each visitor
+// through the chase + RepA; an all-open Delta with a negated body (so not
+// the Lemma 3 NP path) sends it through (J, W) |= Delta, where the shards
+// evaluate the compiled Delta's shared requirement formulas concurrently.
 TEST_F(ComposeTest, GeneralPathVerdictsAgreeAcrossShards) {
   Schema src, tau, omega;
   src.Add("E", 1);
@@ -202,31 +205,54 @@ TEST_F(ComposeTest, GeneralPathVerdictsAgreeAcrossShards) {
   omega.Add("P", 2);
   Result<Mapping> sigma =
       ParseMapping("F(x^cl, z^op) :- E(x);", src, tau, &u_);
-  Result<Mapping> delta = ParseMapping(
+  Result<Mapping> delta_closed = ParseMapping(
       "P(y^cl, y2^cl) :- F(x, y) & F(x, y2) & !(y = y2);", tau, omega, &u_);
+  Result<Mapping> delta_open = ParseMapping(
+      "P(y^op, y2^op) :- F(x, y) & F(x, y2) & !(y = y2) & !F(y, y2);"
+      "P(x^op, x^op) :- F(x, y);",
+      tau, omega, &u_);
   ASSERT_TRUE(sigma.ok());
-  ASSERT_TRUE(delta.ok());
+  ASSERT_TRUE(delta_closed.ok());
+  ASSERT_TRUE(delta_open.ok());
+  ASSERT_TRUE(delta_open.value().IsAllOpen());
+  ASSERT_FALSE(delta_open.value().HasMonotoneBodies());
   Instance s;
   s.Add("E", {u_.Const("a")});
-  // Reachable by replicating the open null; and not reachable, because a
-  // closed Delta emits both directions of every pair.
+  // Closed Delta: reachable by replicating the open null; not reachable,
+  // because a closed Delta emits both directions of every pair.
   Instance both;
   both.Add("P", {u_.Const("u"), u_.Const("v")});
   both.Add("P", {u_.Const("v"), u_.Const("u")});
   Instance one_way;
   one_way.Add("P", {u_.Const("u"), u_.Const("v")});
+  // Open Delta: every J has an F-fact at a, so W needs P(a, a); one
+  // F-successor leaves the first rule without witnesses.
+  Instance loop = both;
+  loop.Add("P", {u_.Const("a"), u_.Const("a")});
 
+  struct Case {
+    const Mapping* delta;
+    const Instance* w;
+    bool member;
+  };
+  const Case cases[] = {
+      {&delta_closed.value(), &both, true},
+      {&delta_closed.value(), &one_way, false},
+      {&delta_open.value(), &loop, true},
+      {&delta_open.value(), &both, false},
+  };
   ComposeOptions opts;
   opts.enum_options.fresh_pool = 2;
-  for (const Instance* w : {&both, &one_way}) {
+  for (const Case& c : cases) {
+    SCOPED_TRACE(c.delta->ToString(u_));
     std::optional<ComposeVerdict> baseline;
     for (size_t shards : {size_t{1}, size_t{4}, size_t{8}}) {
       EngineStats stats;
       EngineContext ctx;
       ctx.shards = shards;
       ctx.stats = &stats;
-      Result<ComposeVerdict> r =
-          InComposition(sigma.value(), delta.value(), s, *w, &u_, opts, ctx);
+      Result<ComposeVerdict> r = InComposition(sigma.value(), *c.delta, s,
+                                               *c.w, &u_, opts, ctx);
       ASSERT_TRUE(r.ok()) << r.status().ToString();
       EXPECT_NE(r.value().method.find("Thm 4.2"), std::string::npos);
       EXPECT_EQ(stats.enum_shard_runs, shards > 1 ? 1u : 0u)
@@ -246,7 +272,7 @@ TEST_F(ComposeTest, GeneralPathVerdictsAgreeAcrossShards) {
             << "shards=" << shards;
       }
     }
-    EXPECT_EQ(baseline->member, w == &both);
+    EXPECT_EQ(baseline->member, c.member);
   }
 }
 

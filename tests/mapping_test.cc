@@ -6,6 +6,7 @@
 #include "mapping/mapping.h"
 #include "mapping/rule_parser.h"
 #include "plan/compiled_mapping.h"
+#include "semantics/solutions.h"
 
 namespace ocdx {
 namespace {
@@ -223,6 +224,24 @@ TEST_F(MappingTest, CompiledMappingHoldsPerStdAnalysis) {
     ASSERT_EQ(cs.requirement_proj.size(), 1u);
     EXPECT_EQ((*cs.body_vars)[cs.requirement_proj[0]], "x");
   }
+  EXPECT_TRUE(c.value().checks_stds());
+
+  // Compiled for the chase only: no requirement fields, and the STD check
+  // refuses it rather than reading them.
+  Result<plan::CompiledMapping> chase_only =
+      plan::CompileMapping(m.value(), ctx, plan::MappingUse::kChase);
+  ASSERT_TRUE(chase_only.ok()) << chase_only.status().ToString();
+  EXPECT_EQ(stats.mapping_compiles, 2u);
+  EXPECT_FALSE(chase_only.value().checks_stds());
+  for (const plan::CompiledStd& cs : chase_only.value().stds()) {
+    EXPECT_EQ(cs.requirement, nullptr);
+    EXPECT_TRUE(cs.requirement_vars.empty());
+  }
+  Instance source, target;
+  Result<bool> sat =
+      SatisfiesStds(chase_only.value(), source, target, u_, ctx);
+  ASSERT_FALSE(sat.ok());
+  EXPECT_EQ(sat.status().code(), StatusCode::kFailedPrecondition);
 }
 
 }  // namespace
