@@ -10,7 +10,6 @@
 #include "plan/compiled_mapping.h"
 #include "semantics/iso_enum.h"
 #include "semantics/membership.h"
-#include "semantics/solutions.h"
 #include "util/str.h"
 
 namespace ocdx {
